@@ -338,6 +338,12 @@ impl<N, E> DiGraph<N, E> {
     }
 
     /// Out-edges of `node` (live only). Empty iterator if node is removed.
+    ///
+    /// Edges come in ascending [`EdgeId`] order, on the graph itself and on
+    /// any [`DiGraph::filter_edges`] copy of it: ids are handed out in
+    /// increasing order and removal keeps the order of the rest. Callers
+    /// rely on this — `lcg_sim`'s live-graph router matches a BFS over a
+    /// filtered copy draw for draw only because both see the same order.
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
         self.out_edges
             .get(node.0)
@@ -656,6 +662,59 @@ mod tests {
         assert_eq!(edges.len(), g.edge_count());
         for e in edges {
             assert!(g.contains_edge(e));
+        }
+    }
+
+    #[test]
+    fn out_edges_stay_ascending_under_arbitrary_mutation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        g.add_nodes(12);
+        for step in 0..2_000 {
+            let live: Vec<NodeId> = g.node_ids().collect();
+            if live.len() < 2 {
+                g.add_nodes(4);
+                continue;
+            }
+            let u = live[rng.gen_range(0..live.len())];
+            let v = live[rng.gen_range(0..live.len())];
+            match rng.gen_range(0..10) {
+                0..=4 => {
+                    g.add_edge(u, v, ());
+                }
+                5 | 6 => {
+                    let edges: Vec<EdgeId> = g.edge_ids().collect();
+                    if !edges.is_empty() {
+                        g.remove_edge(edges[rng.gen_range(0..edges.len())]);
+                    }
+                }
+                7 => {
+                    g.remove_bidirected(u, v);
+                }
+                8 => {
+                    g.remove_node(u);
+                }
+                _ => {
+                    g.add_node(());
+                }
+            }
+            for n in 0..g.node_bound() {
+                let out: Vec<EdgeId> = g.out_edges(NodeId(n)).collect();
+                assert!(
+                    out.windows(2).all(|w| w[0] < w[1]),
+                    "step {step}: out-edges of n{n} not ascending: {out:?}"
+                );
+            }
+        }
+        assert!(g.edge_count() > 0, "the sequence must leave edges to check");
+        // A filtered copy lists the surviving out-edges in the same order.
+        let keep = |e: EdgeId| !e.index().is_multiple_of(3);
+        let copy = g.filter_edges(|e, _, _, _| keep(e));
+        for n in g.node_ids() {
+            let live: Vec<EdgeId> = g.out_edges(n).filter(|&e| keep(e)).collect();
+            assert_eq!(copy.out_edges(n).collect::<Vec<_>>(), live);
         }
     }
 

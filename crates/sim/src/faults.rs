@@ -346,8 +346,9 @@ impl CompiledFaults {
         }
     }
 
-    /// The no-fault compilation used by the deprecated `simulate` shim:
-    /// injects nothing and never touches its RNG.
+    /// A no-fault compilation that injects nothing and never touches its
+    /// RNG; the engine tests drive `run_core` with it directly.
+    #[cfg(test)]
     pub(crate) fn inert() -> CompiledFaults {
         CompiledFaults {
             transient_p: 0.0,

@@ -14,6 +14,9 @@
 //! * [`network`] — [`network::Pcn`]: topology + balances + fee/cost
 //!   ledgers, capacity-reduced subgraphs `G'(x)`, uniform shortest-path
 //!   sampling and atomic (HTLC-style) multi-hop payment execution.
+//! * [`route`] — [`route::RouteScratch`]: the allocation-free router that
+//!   samples those shortest paths on the live graph, bit-identical to
+//!   filtering, BFS and [`network::sample_path_from_tree`].
 //! * [`workload`] — Poisson transaction streams with pluggable
 //!   sender/receiver pair distributions (uniform of \[19\], or the paper's
 //!   Zipf model supplied by `lcg-core`).
@@ -60,6 +63,7 @@ pub mod network;
 pub mod onchain;
 pub mod rebalance;
 pub mod retry;
+pub mod route;
 pub mod snapshot;
 pub mod workload;
 
@@ -68,3 +72,4 @@ pub use engine::{SimReport, Simulation};
 pub use faults::{FaultPlan, FaultRule, FaultStats};
 pub use network::{PaymentReceipt, Pcn, RouteError};
 pub use retry::{Backoff, RetryPolicy};
+pub use route::RouteScratch;

@@ -10,7 +10,8 @@
 use crate::channel::Channel;
 use crate::fees::FeeFunction;
 use crate::onchain::{CloseMode, CostModel};
-use lcg_graph::bfs::{self, BfsTree};
+use crate::route::RouteScratch;
+use lcg_graph::bfs::BfsTree;
 use lcg_graph::{DiGraph, EdgeId, NodeId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -308,19 +309,34 @@ impl Pcn {
         amount: f64,
         rng: &mut R,
     ) -> Option<Vec<EdgeId>> {
-        self.sample_shortest_path_filtered(s, r, amount, |_| true, |_| true, rng)
+        self.sample_shortest_path_filtered(
+            &mut RouteScratch::new(),
+            s,
+            r,
+            amount,
+            |_| true,
+            |_| true,
+            rng,
+        )
     }
 
     /// [`Pcn::sample_shortest_path`] restricted to edges accepted by
     /// `edge_ok` whose endpoints are both accepted by `node_ok`, on top of
-    /// the capacity filter. The fault-injection engine routes through this
-    /// to avoid offline nodes and hops that already failed a payment;
-    /// all-pass filters reproduce the unfiltered sampler exactly
-    /// (including its RNG draw sequence).
+    /// the capacity filter, reusing the buffers in `scratch`. The
+    /// fault-injection engine routes through this to avoid offline nodes
+    /// and hops that already failed a payment; all-pass filters reproduce
+    /// the unfiltered sampler exactly (including its RNG draw sequence).
+    ///
+    /// The search runs on the live graph (see [`crate::route`]); the
+    /// result equals [`Pcn::reduced_graph`]-style filtering, then
+    /// `lcg_graph::bfs::bfs`, then [`sample_path_from_tree`], draw for draw.
+    /// Both predicates must be pure.
     ///
     /// Returns `None` if `r` is unreachable in the filtered subgraph.
+    #[allow(clippy::too_many_arguments)]
     pub fn sample_shortest_path_filtered<R: Rng + ?Sized>(
         &self,
+        scratch: &mut RouteScratch,
         s: NodeId,
         r: NodeId,
         amount: f64,
@@ -328,11 +344,14 @@ impl Pcn {
         node_ok: impl Fn(NodeId) -> bool,
         rng: &mut R,
     ) -> Option<Vec<EdgeId>> {
-        let reduced = self.graph.filter_edges(|e, u, v, eb| {
-            eb.balance + 1e-9 >= amount && edge_ok(e) && node_ok(u) && node_ok(v)
-        });
-        let tree = bfs::bfs(&reduced, s);
-        sample_path_from_tree(&reduced, &tree, r, rng)
+        scratch.sample_shortest_path(
+            &self.graph,
+            s,
+            r,
+            |e, eb| eb.balance + 1e-9 >= amount && edge_ok(e),
+            node_ok,
+            rng,
+        )
     }
 
     /// Live channels as `(forward, backward)` edge pairs, in ascending
