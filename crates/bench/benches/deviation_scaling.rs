@@ -1,5 +1,5 @@
-//! Pruned + incremental deviation search vs the exhaustive reference on
-//! the §IV star game, across n.
+//! Bound-pruned deviation search vs the exhaustive reference on the §IV
+//! star game, across n.
 //!
 //! Head-to-head legs (n = 6, 8, 10) run both configurations, assert
 //! verdict- and deviation-identity, and record candidate/Brandes-source
@@ -110,10 +110,6 @@ fn json_for(head: &[HeadToHead], sweep: &[SweepPoint]) -> Json {
                     Json::U64(h.pruned.sources_recomputed),
                 ),
                 (
-                    "sources_reweighted".to_string(),
-                    Json::U64(h.pruned.sources_reweighted),
-                ),
-                (
                     "source_factor".to_string(),
                     Json::F64(
                         h.exhaustive.sources_recomputed as f64
@@ -144,10 +140,6 @@ fn json_for(head: &[HeadToHead], sweep: &[SweepPoint]) -> Json {
                 (
                     "sources_recomputed".to_string(),
                     Json::U64(p.report.sources_recomputed),
-                ),
-                (
-                    "sources_reweighted".to_string(),
-                    Json::U64(p.report.sources_reweighted),
                 ),
                 ("ms".to_string(), Json::F64(p.ms)),
             ])

@@ -1,27 +1,20 @@
-//! Delta-aware revenue evaluation for edge-rewiring workloads.
+//! A from-scratch revenue query shaped like an edge-delta lookup.
 //!
-//! The §IV deviation search evaluates the intermediary revenue of one
-//! player on thousands of graphs that each differ from the *current* game
-//! graph by a few of that player's channels — and, because the paper
-//! recomputes the Zipf distribution after every deviation, under a pair
-//! weight that also changes per candidate. [`DeltaRevenueOracle`] wraps
-//! [`lcg_graph::edge_delta::EdgeDeltaBetweenness`] with the
-//! [`TransactionModel`] weighting convention of
-//! [`TransactionModel::revenue_rates`]: snapshot once per game state, then
-//! answer each candidate from the affected sources only. Senders whose
-//! shortest-path trees *and* pair rows are untouched replay cached
-//! dependency vectors; senders whose rows changed (the usual case under a
-//! recomputed Zipf) re-run only the dependency kernel over their cached
-//! trees; the rest pay a fresh BFS. Every answer is bit-identical to
-//! `model.revenue_rates(updated, favg)[v]`.
+//! Nothing in the workspace evaluates revenue incrementally under channel
+//! rewirings: the deviation search recomputes each candidate graph from
+//! scratch (see DESIGN.md, "Scaling the deviation search").
+//! [`DeltaRevenueOracle`] is kept only because the `certify` probe of the
+//! end-to-end benchmark (`perfbench/`) calls it.
 
 use crate::rates::TransactionModel;
 use crate::utility::Topology;
-use lcg_graph::edge_delta::{DeltaQueryStats, EdgeDelta, EdgeDeltaBetweenness, EdgeDeltaStats};
+use lcg_graph::edge_delta::EdgeDelta;
 use lcg_graph::NodeId;
 
-/// Snapshot of one base graph + transaction model, answering
-/// "intermediary revenue of `v` after this [`EdgeDelta`]" incrementally.
+/// Intermediary revenue of one node on a rewired graph, computed from
+/// scratch under a fixed revenue weight per routed pair.
+///
+/// Exists only for the `certify` probe of the end-to-end benchmark.
 ///
 /// # Examples
 ///
@@ -31,158 +24,33 @@ use lcg_graph::NodeId;
 /// use lcg_graph::edge_delta::EdgeDelta;
 /// use lcg_graph::{generators, NodeId};
 ///
-/// let base = generators::cycle(6);
-/// let model = TransactionModel::uniform(&base, vec![1.0; base.node_bound()]);
-/// let oracle = DeltaRevenueOracle::new(&base, &model, 1.0);
+/// let mut updated = generators::cycle(6);
+/// updated.add_undirected(NodeId(0), NodeId(3), ());
+/// let model = TransactionModel::uniform(&updated, vec![1.0; updated.node_bound()]);
 /// let delta = EdgeDelta { insert: vec![(NodeId(0), NodeId(3))], remove: vec![] };
-/// let updated = oracle.apply(&delta);
-/// let (rev, _) = oracle.revenue_of(&updated, &delta, NodeId(0), &model);
-/// let full = model.revenue_rates(&updated, 1.0);
-/// assert_eq!(rev.to_bits(), full[0].to_bits());
+/// let rev = DeltaRevenueOracle::new(1.0).revenue_of(&updated, &delta, NodeId(0), &model);
+/// assert_eq!(rev.to_bits(), model.revenue_rates(&updated, 1.0)[0].to_bits());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaRevenueOracle {
-    engine: EdgeDeltaBetweenness<(), ()>,
     favg: f64,
 }
 
 impl DeltaRevenueOracle {
-    /// Snapshots `base` under the revenue weight
-    /// `N_s · p_trans(s, r) · favg` of `model` (one BFS per live source).
-    pub fn new(base: &Topology, model: &TransactionModel, favg: f64) -> Self {
-        DeltaRevenueOracle {
-            engine: EdgeDeltaBetweenness::new(base, |s, r| model.pair_rate(s, r) * favg),
-            favg,
-        }
-    }
-
-    /// Lowers the affected-fraction threshold above which queries fall
-    /// back to full Brandes (see
-    /// [`EdgeDeltaBetweenness::with_fallback_fraction`]).
-    pub fn with_fallback_fraction(mut self, fraction: f64) -> Self {
-        self.engine = self.engine.with_fallback_fraction(fraction);
-        self
-    }
-
-    /// The underlying edge-delta engine.
-    pub fn engine(&self) -> &EdgeDeltaBetweenness<(), ()> {
-        &self.engine
-    }
-
-    /// The snapshotted base topology.
-    pub fn base(&self) -> &Topology {
-        self.engine.base()
-    }
-
-    /// The revenue weight per routed pair (`f_avg`, or §IV's `b` with
+    /// An oracle weighting each routed pair by `favg` (§IV's `b` with
     /// unit volumes).
-    pub fn favg(&self) -> f64 {
-        self.favg
+    pub fn new(favg: f64) -> Self {
+        DeltaRevenueOracle { favg }
     }
 
-    /// The base graph with `delta` applied (removals first, then
-    /// insertions — the game's deviation order).
-    pub fn apply(&self, delta: &EdgeDelta) -> Topology {
-        self.engine.apply(delta)
-    }
-
-    /// Intermediary-revenue rate of `v` on `updated` under `model`
-    /// (typically the Zipf model recomputed on `updated`), bit-identical
-    /// to `model.revenue_rates(updated, favg)[v]`.
-    ///
-    /// `updated` must be `delta` applied to the base in the engine's
-    /// order; `model` rows bit-equal to the snapshot rows replay cached
-    /// work.
+    /// `model.revenue_rates(updated, favg)[v]`; `delta` is ignored.
     pub fn revenue_of(
         &self,
         updated: &Topology,
-        delta: &EdgeDelta,
+        _delta: &EdgeDelta,
         v: NodeId,
         model: &TransactionModel,
-    ) -> (f64, DeltaQueryStats) {
-        if lcg_obs::enabled() {
-            lcg_obs::counter!("core/delta_eval/revenue_queries").inc();
-        }
-        self.engine
-            .node_score_with(updated, delta, v, |s, r| model.pair_rate(s, r) * self.favg)
-    }
-
-    /// Full revenue vector on `updated` under `model`, bit-identical to
-    /// `model.revenue_rates(updated, favg)`.
-    pub fn revenue_rates(
-        &self,
-        updated: &Topology,
-        delta: &EdgeDelta,
-        model: &TransactionModel,
-    ) -> (Vec<f64>, DeltaQueryStats) {
-        if lcg_obs::enabled() {
-            lcg_obs::counter!("core/delta_eval/rate_queries").inc();
-        }
-        self.engine
-            .node_betweenness_with(updated, delta, |s, r| model.pair_rate(s, r) * self.favg)
-    }
-
-    /// Cumulative engine counters.
-    pub fn stats(&self) -> EdgeDeltaStats {
-        self.engine.stats()
-    }
-
-    /// Resets the cumulative counters.
-    pub fn reset_stats(&self) {
-        self.engine.reset_stats()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::zipf::ZipfVariant;
-    use lcg_graph::generators;
-
-    #[test]
-    fn rewiring_matches_from_scratch_revenue_under_recomputed_zipf() {
-        let base = generators::cycle(7);
-        let n = base.node_bound();
-        let model = TransactionModel::zipf(&base, 1.5, ZipfVariant::Averaged, vec![1.0; n]);
-        let oracle = DeltaRevenueOracle::new(&base, &model, 0.4);
-        let delta = EdgeDelta {
-            insert: vec![(NodeId(0), NodeId(3))],
-            remove: vec![(NodeId(0), NodeId(1))],
-        };
-        let updated = oracle.apply(&delta);
-        // The paper's convention: the Zipf model is recomputed on the
-        // deviated graph.
-        let new_model = TransactionModel::zipf(&updated, 1.5, ZipfVariant::Averaged, vec![1.0; n]);
-        let expect = new_model.revenue_rates(&updated, 0.4);
-        for v in updated.node_ids() {
-            let (rev, _) = oracle.revenue_of(&updated, &delta, v, &new_model);
-            assert_eq!(rev.to_bits(), expect[v.index()].to_bits(), "node {v}");
-        }
-        let (vector, _) = oracle.revenue_rates(&updated, &delta, &new_model);
-        assert!(vector
-            .iter()
-            .zip(&expect)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn unchanged_rows_replay_under_uniform_model() {
-        // At s = 0 the Zipf distribution is degree-independent, so the
-        // recomputed model is bit-identical to the snapshot and unaffected
-        // sources replay instead of reweighting.
-        let base = generators::path(8);
-        let n = base.node_bound();
-        let model = TransactionModel::uniform(&base, vec![1.0; n]);
-        let oracle = DeltaRevenueOracle::new(&base, &model, 1.0);
-        let delta = EdgeDelta {
-            insert: vec![(NodeId(0), NodeId(2))],
-            remove: vec![],
-        };
-        let updated = oracle.apply(&delta);
-        let new_model = TransactionModel::uniform(&updated, vec![1.0; n]);
-        let (_, stats) = oracle.revenue_of(&updated, &delta, NodeId(3), &new_model);
-        assert!(!stats.fell_back);
-        assert!(stats.replayed_sources > 0, "uniform rows must replay");
-        assert_eq!(stats.reweighted_sources, 0);
+    ) -> f64 {
+        model.revenue_rates(updated, self.favg)[v.index()]
     }
 }

@@ -25,10 +25,8 @@
 //! * [`eval_cache`] — strategy-keyed memoization of oracle evaluations,
 //!   backing the oracle's delta-aware fast path (affected-source pruning
 //!   via `lcg_graph::incremental`) with hit/miss instrumentation.
-//! * [`delta_eval`] — [`delta_eval::DeltaRevenueOracle`]: incremental
-//!   intermediary-revenue evaluation under channel rewirings (the §IV
-//!   deviation workload), built on `lcg_graph::edge_delta` with per-query
-//!   recomputed-Zipf weight overrides.
+//! * [`delta_eval`] — [`delta_eval::DeltaRevenueOracle`], a from-scratch
+//!   revenue query kept for the end-to-end benchmark's `certify` probe.
 //! * [`estimation`] — recovering `N`, `N_u` and the Zipf `s` from
 //!   observed transaction streams (the paper's future-work item 3).
 //! * [`bruteforce`] — exact optimizers used as experiment baselines.

@@ -9,9 +9,7 @@
 //! discover which topologies the game actually converges to.
 
 use crate::game::Game;
-use crate::nash::{
-    search_player, Deviation, DeviationCache, DeviationSearch, EvalContext, NashAnalyzer,
-};
+use crate::nash::{search_player, Deviation, DeviationCache, DeviationSearch, NashAnalyzer};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of running best-response dynamics.
@@ -29,14 +27,10 @@ pub struct DynamicsReport {
     /// (see [`NashReport::bound_pruned`](crate::nash::NashReport)).
     #[serde(default)]
     pub bound_pruned: u64,
-    /// Brandes source recomputations paid for cache-miss utility
-    /// evaluations.
+    /// Brandes source passes paid for cache-miss utility evaluations:
+    /// every live player per miss.
     #[serde(default)]
     pub sources_recomputed: u64,
-    /// Sources that reused their cached BFS tree and only re-ran the
-    /// dependency kernel under a changed Zipf row.
-    #[serde(default)]
-    pub sources_reweighted: u64,
     /// Utility lookups answered from the shared deviation cache. Rounds
     /// near convergence re-explore mostly unchanged states, so this
     /// approaches `explored` as the dynamics settle.
@@ -80,10 +74,6 @@ pub fn run_dynamics_cached(
 }
 
 /// [`run_dynamics_cached`] under explicit [`DeviationSearch`] knobs.
-///
-/// The incremental [`EvalContext`] snapshot is rebuilt lazily: it survives
-/// across players (and rounds) for as long as nobody moves, and is
-/// re-snapshotted only after an applied deviation changes the state.
 pub fn run_dynamics_with(
     game: &mut Game,
     max_rounds: usize,
@@ -95,25 +85,18 @@ pub fn run_dynamics_with(
     let mut explored = 0;
     let mut bound_pruned = 0;
     let mut sources_recomputed = 0;
-    let mut sources_reweighted = 0;
-    let mut ctx: Option<EvalContext> = None;
     for round in 1..=max_rounds {
         let mut any = false;
         let players: Vec<_> = game.graph().node_ids().collect();
         for player in players {
-            if search.incremental && ctx.is_none() {
-                ctx = Some(EvalContext::new(game, &search));
-            }
-            let (dev, stats) = search_player(game, player, cache, search, ctx.as_ref());
+            let (dev, stats) = search_player(game, player, cache, search);
             explored += stats.explored;
             bound_pruned += stats.bound_pruned;
             sources_recomputed += stats.sources_recomputed;
-            sources_reweighted += stats.sources_reweighted;
             if let Some(dev) = dev {
                 *game = game.deviate(player, &dev.remove, &dev.add);
                 applied.push(dev);
                 any = true;
-                ctx = None;
             }
         }
         if !any {
@@ -124,7 +107,6 @@ pub fn run_dynamics_with(
                 explored,
                 bound_pruned,
                 sources_recomputed,
-                sources_reweighted,
                 cache_hits: cache.stats().hits - start_hits,
             };
         }
@@ -136,7 +118,6 @@ pub fn run_dynamics_with(
         explored,
         bound_pruned,
         sources_recomputed,
-        sources_reweighted,
         cache_hits: cache.stats().hits - start_hits,
     }
 }

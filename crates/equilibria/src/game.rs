@@ -15,13 +15,16 @@
 //! for the player's own transactions), and the Zipf distribution is
 //! **recomputed on the deviated graph** — the Thm 8 calculations re-derive
 //! the rank factors after every candidate deviation, and so do we.
+//!
+//! [`Game::utility`] evaluates a state from scratch (one Brandes pass over
+//! every live player). It is the only evaluation path of the Nash checker
+//! and of best-response dynamics, which memoise it per state in
+//! [`DeviationCache`](crate::nash::DeviationCache).
 
-use lcg_core::delta_eval::DeltaRevenueOracle;
 use lcg_core::rates::TransactionModel;
 use lcg_core::utility::{HopCharging, Topology};
 use lcg_core::zipf::ZipfVariant;
 use lcg_graph::bfs;
-use lcg_graph::edge_delta::{DeltaQueryStats, EdgeDelta};
 use lcg_graph::{EdgeId, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -228,37 +231,6 @@ impl Game {
         revenue[v.index()]
             - self.expected_fees(&model, v)
             - self.params.link_cost * self.owned_count(v) as f64
-    }
-
-    /// Utility of `v` with the revenue term answered by a delta-aware
-    /// oracle snapshotted on the *pre-deviation* graph (see
-    /// [`DeltaRevenueOracle`]).
-    ///
-    /// `self` must be the deviated game and `delta` the channel edits that
-    /// produced it from the oracle's base, in the order [`Game::deviate`]
-    /// applies them (removals first, then additions, each as
-    /// `(player, target)`). The Zipf model is recomputed on the deviated
-    /// graph exactly as [`Game::utility`] does, and the result is
-    /// bit-identical to it; the returned [`DeltaQueryStats`] says how much
-    /// per-source Brandes work the oracle actually skipped.
-    pub fn utility_via(
-        &self,
-        v: NodeId,
-        oracle: &DeltaRevenueOracle,
-        delta: &EdgeDelta,
-    ) -> (f64, DeltaQueryStats) {
-        let n = self.graph.node_bound();
-        let model = TransactionModel::zipf(
-            &self.graph,
-            self.params.zipf_s,
-            self.params.zipf_variant,
-            vec![1.0; n],
-        );
-        let (revenue, stats) = oracle.revenue_of(&self.graph, delta, v, &model);
-        let utility = revenue
-            - self.expected_fees(&model, v)
-            - self.params.link_cost * self.owned_count(v) as f64;
-        (utility, stats)
     }
 
     /// `E^fees_v = a · Σ_{w≠v} hops(d(v,w)) · p_trans(v,w)`; `+∞` when some

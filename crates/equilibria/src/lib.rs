@@ -13,9 +13,9 @@
 //! * [`nash`] — the deviation checker: lazily enumerates every
 //!   remove-owned × add-new combination per player (exponential — the
 //!   NP-hardness of the general problem is Thm 2 of \[19\]), pruned by an
-//!   admissible utility upper bound and evaluated through the edge-delta
-//!   incremental engine; both accelerations are verdict-preserving and
-//!   individually opt-out via [`nash::DeviationSearch`].
+//!   admissible utility upper bound (verdict-preserving, opt-out via
+//!   [`nash::DeviationSearch`]) and evaluated from scratch behind a
+//!   utility memo.
 //! * [`theorems`] — the closed-form predicates of Thm 6 (hub-path bound),
 //!   Thm 7/8/9 (star), and Thm 11 (circle crossover estimates), so
 //!   experiments can compare prediction against mechanized ground truth.
@@ -48,6 +48,4 @@ pub mod theorems;
 pub mod welfare;
 
 pub use game::{Game, GameParams};
-#[allow(deprecated)]
-pub use nash::check_equilibrium;
 pub use nash::{Deviation, DeviationCache, DeviationSearch, NashAnalyzer, NashReport, SearchStats};

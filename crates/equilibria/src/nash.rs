@@ -10,11 +10,11 @@
 //! (Thm 2 of \[19\]) predicts — so the raw enumeration is only viable for
 //! the small `n` of §IV.
 //!
-//! Two orthogonal accelerations (both on by default, both provably
-//! verdict-preserving, see [`DeviationSearch`]) push the reachable `n`
-//! further:
+//! Two things keep the enumeration affordable, and neither changes a
+//! verdict or a single output bit:
 //!
-//! * **Branch-and-bound pruning.** Candidates are enumerated lazily by
+//! * **Branch-and-bound pruning** (on by default, opt-out via
+//!   [`DeviationSearch`]). Candidates are enumerated lazily by
 //!   bitmask, grouped into classes that share a remove-set and an add-set
 //!   *size*. Every member of a class has the same link bill and the same
 //!   degree envelope, so an admissible upper bound on the post-deviation
@@ -25,22 +25,19 @@
 //!   [`NashReport::bound_pruned`]; since the bound is admissible the
 //!   surviving incumbent — and hence the verdict — is identical to the
 //!   exhaustive walk's.
-//! * **Incremental evaluation.** Each candidate graph differs from the
-//!   current state by a handful of one player's channels, so cache-miss
-//!   utilities are answered by
-//!   [`DeltaRevenueOracle`](lcg_core::delta_eval::DeltaRevenueOracle)
-//!   instead of a from-scratch Brandes pass; only affected sources pay a
-//!   BFS ([`NashReport::sources_recomputed`]), senders whose recomputed
-//!   Zipf row changed re-run just the dependency kernel
-//!   ([`NashReport::sources_reweighted`]), and untouched senders replay
-//!   cached work. Results are bit-identical to [`Game::utility`].
+//! * **Memoised from-scratch evaluation.** Every utility the walk needs
+//!   goes through the [`DeviationCache`]; a miss runs [`Game::utility`],
+//!   one Brandes pass over every live player, counted in
+//!   [`NashReport::sources_recomputed`]. No incremental engine sits
+//!   behind it: on the §IV games (at most about 25 nodes) one player's
+//!   rewiring reshapes almost every shortest-path tree, so
+//!   affected-source pruning saved no work (DESIGN.md, "Scaling the
+//!   deviation search").
 
 use crate::game::Game;
 use lcg_core::delta_eval::DeltaRevenueOracle;
 use lcg_core::eval_cache::EvalCacheStats;
-use lcg_core::rates::TransactionModel;
 use lcg_core::zipf::{generalized_harmonic, ZipfVariant};
-use lcg_graph::edge_delta::EdgeDelta;
 use lcg_graph::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -83,14 +80,11 @@ pub struct NashReport {
     /// `explored + bound_pruned` equals the exhaustive candidate count.
     #[serde(default)]
     pub bound_pruned: u64,
-    /// Brandes source recomputations (BFS + dependency kernel) paid for
-    /// cache-miss utility evaluations across all players.
+    /// Brandes source passes (BFS + dependency kernel) paid for
+    /// cache-miss utility evaluations across all players: every live
+    /// player per miss.
     #[serde(default)]
     pub sources_recomputed: u64,
-    /// Sources that kept their cached shortest-path tree and only re-ran
-    /// the dependency kernel under a changed Zipf weight row.
-    #[serde(default)]
-    pub sources_reweighted: u64,
     /// Utility lookups answered from the deviation cache (non-zero when
     /// the caller shares a cache across checks, e.g. after dynamics).
     pub cache_hits: u64,
@@ -156,20 +150,12 @@ impl DeviationCache {
 
     /// `player`'s utility in `game`, memoized on the state fingerprint.
     pub fn utility_of(&self, game: &Game, player: NodeId) -> f64 {
-        self.utility_of_with(game, player, || game.utility(player))
-            .0
+        self.lookup(game, player).0
     }
 
-    /// [`DeviationCache::utility_of`] with a caller-supplied computation
-    /// for misses — `compute` must return exactly `game.utility(player)`
-    /// (the incremental oracle's bit-identity guarantee makes it a valid
-    /// substitute). Returns `(utility, true)` when `compute` ran.
-    pub fn utility_of_with<F: FnOnce() -> f64>(
-        &self,
-        game: &Game,
-        player: NodeId,
-        compute: F,
-    ) -> (f64, bool) {
+    /// [`DeviationCache::utility_of`], also saying whether the lookup
+    /// missed and ran [`Game::utility`].
+    fn lookup(&self, game: &Game, player: NodeId) -> (f64, bool) {
         let key = (player.index() as u32, game.canonical_channels());
         let found = self
             .map
@@ -188,7 +174,7 @@ impl DeviationCache {
         if lcg_obs::enabled() {
             lcg_obs::counter!("equilibria/deviation_cache/misses").inc();
         }
-        let value = compute();
+        let value = game.utility(player);
         let mut map = self.map.lock().expect("deviation cache poisoned");
         if map.len() < self.capacity || map.contains_key(&key) {
             map.insert(key, value);
@@ -221,31 +207,22 @@ pub const GAIN_EPSILON: f64 = 1e-9;
 /// (harmonic normalizers and probability row sums are computed in floats).
 const BOUND_SLACK: f64 = 1e-9;
 
-/// Knobs for the deviation search. The default turns both accelerations
-/// on; [`DeviationSearch::exhaustive`] is the reference configuration the
-/// differential tests compare against. Every configuration returns the
-/// same verdict and the same deviations.
+/// Knobs for the deviation search. The default turns bound pruning on;
+/// [`DeviationSearch::exhaustive`] is the reference configuration the
+/// differential tests compare against. Both return the same verdict and
+/// the same deviations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviationSearch {
     /// Skip whole remove-set × add-size classes whose admissible utility
     /// upper bound cannot beat the incumbent (counted in
     /// [`NashReport::bound_pruned`]).
     pub bound_pruning: bool,
-    /// Answer cache-miss utilities through the edge-delta engine instead
-    /// of from-scratch Brandes.
-    pub incremental: bool,
-    /// Affected-source fraction above which the engine abandons pruning
-    /// for a query and runs full Brandes (forwarded to
-    /// [`DeltaRevenueOracle::with_fallback_fraction`]).
-    pub fallback_fraction: f64,
 }
 
 impl Default for DeviationSearch {
     fn default() -> Self {
         DeviationSearch {
             bound_pruning: true,
-            incremental: true,
-            fallback_fraction: 1.0,
         }
     }
 }
@@ -255,8 +232,6 @@ impl DeviationSearch {
     pub fn exhaustive() -> Self {
         DeviationSearch {
             bound_pruning: false,
-            incremental: false,
-            fallback_fraction: 1.0,
         }
     }
 }
@@ -269,10 +244,9 @@ pub struct SearchStats {
     pub explored: u64,
     /// Candidates skipped by the class-level upper bound.
     pub bound_pruned: u64,
-    /// BFS + dependency-kernel passes paid on cache misses.
+    /// BFS + dependency-kernel passes paid on cache misses: every live
+    /// player per miss.
     pub sources_recomputed: u64,
-    /// Kernel-only passes over cached trees (changed Zipf rows).
-    pub sources_reweighted: u64,
 }
 
 impl SearchStats {
@@ -280,40 +254,27 @@ impl SearchStats {
         self.explored += other.explored;
         self.bound_pruned += other.bound_pruned;
         self.sources_recomputed += other.sources_recomputed;
-        self.sources_reweighted += other.sources_reweighted;
     }
 }
 
-/// One game state's incremental-evaluation snapshot: the
-/// [`DeltaRevenueOracle`] every candidate of every player is answered
-/// from. Build once per state and share across players (it is `Sync`);
-/// the per-player search builds a private one when handed `None`.
+/// A [`DeltaRevenueOracle`] under `game`'s revenue weight `b`.
+///
+/// Exists only for the `certify` probe of the end-to-end benchmark; the
+/// search itself evaluates through [`Game::utility`].
 #[derive(Debug)]
 pub struct EvalContext {
     oracle: DeltaRevenueOracle,
-    fingerprint: Vec<(u32, u32, u32)>,
 }
 
 impl EvalContext {
-    /// Snapshots `game`'s graph under its own Zipf model (one BFS per
-    /// source, amortized over every candidate evaluated against it).
-    pub fn new(game: &Game, search: &DeviationSearch) -> Self {
-        let params = game.params();
-        let model = TransactionModel::zipf(
-            game.graph(),
-            params.zipf_s,
-            params.zipf_variant,
-            vec![1.0; game.graph().node_bound()],
-        );
-        let oracle = DeltaRevenueOracle::new(game.graph(), &model, params.b)
-            .with_fallback_fraction(search.fallback_fraction);
+    /// The oracle for `game`'s parameters; `search` is ignored.
+    pub fn new(game: &Game, _search: &DeviationSearch) -> Self {
         EvalContext {
-            oracle,
-            fingerprint: game.canonical_channels(),
+            oracle: DeltaRevenueOracle::new(game.params().b),
         }
     }
 
-    /// The snapshotted revenue oracle.
+    /// The revenue oracle.
     pub fn oracle(&self) -> &DeltaRevenueOracle {
         &self.oracle
     }
@@ -540,78 +501,36 @@ impl UtilityBound {
 }
 
 /// The per-player deviation search behind [`NashAnalyzer`]: explicit
-/// [`DeviationSearch`] knobs, an optional shared [`EvalContext`] (must
-/// have been built from `game`'s exact current state; one is built on the
-/// spot when `None` and `search.incremental` is set), and the per-player
-/// [`SearchStats`].
+/// [`DeviationSearch`] knobs and the per-player [`SearchStats`].
 ///
-/// Every configuration returns the same `Option<Deviation>`: the bound is
-/// admissible, the incremental evaluations are bit-identical, and pruned
-/// and exhaustive walks share one enumeration order, so the incumbent
-/// trajectory — including [`GAIN_EPSILON`] tie-breaks — is identical.
+/// Both configurations return the same `Option<Deviation>`: the bound is
+/// admissible, and pruned and exhaustive walks share one enumeration
+/// order, so the incumbent trajectory — including [`GAIN_EPSILON`]
+/// tie-breaks — is identical.
 pub(crate) fn search_player(
     game: &Game,
     player: NodeId,
     cache: &DeviationCache,
     search: DeviationSearch,
-    ctx: Option<&EvalContext>,
 ) -> (Option<Deviation>, SearchStats) {
     // Per-player wall time: one span per enumeration, annotated with the
     // masks explored and bound-pruned classes once the walk finishes.
     let mut player_span = lcg_obs::span::span("equilibria/player_deviation");
     player_span.field_u64("player", player.index() as u64);
-    let local_ctx;
-    let ctx = if search.incremental {
-        match ctx {
-            Some(shared) => {
-                debug_assert_eq!(
-                    shared.fingerprint,
-                    game.canonical_channels(),
-                    "EvalContext built from a different game state"
-                );
-                Some(shared)
-            }
-            None => {
-                local_ctx = EvalContext::new(game, &search);
-                Some(&local_ctx)
-            }
-        }
-    } else {
-        None
-    };
 
     let n_live = game.graph().node_count() as u64;
     let mut stats = SearchStats::default();
-    // Utility lookup: cache first, then either the delta oracle (bit-
-    // identical to `Game::utility`) or the from-scratch path, with the
-    // Brandes work actually paid recorded either way.
-    let evaluate = |deviated: &Game, delta: &EdgeDelta, stats: &mut SearchStats| -> f64 {
-        match ctx {
-            Some(c) => {
-                let mut recomputed = 0usize;
-                let mut reweighted = 0usize;
-                let (value, _) = cache.utility_of_with(deviated, player, || {
-                    let (utility, qs) = deviated.utility_via(player, c.oracle(), delta);
-                    recomputed = qs.recomputed_sources;
-                    reweighted = qs.reweighted_sources;
-                    utility
-                });
-                stats.sources_recomputed += recomputed as u64;
-                stats.sources_reweighted += reweighted as u64;
-                value
-            }
-            None => {
-                let (value, computed) =
-                    cache.utility_of_with(deviated, player, || deviated.utility(player));
-                if computed {
-                    stats.sources_recomputed += n_live;
-                }
-                value
-            }
+    // Utility lookup through the cache; a miss pays one Brandes pass per
+    // live player.
+    let evaluate = |state: &Game, stats: &mut SearchStats| -> f64 {
+        let (value, computed) = cache.lookup(state, player);
+        if computed {
+            stats.sources_recomputed += n_live;
         }
+        value
     };
 
-    let before = evaluate(game, &EdgeDelta::new(), &mut stats);
+    let before = evaluate(game, &mut stats);
     let owned = game.owned_channels(player);
     let neighbors = game.graph().neighbors(player);
     let addable: Vec<NodeId> = game
@@ -648,12 +567,7 @@ pub(crate) fn search_player(
                 }
                 stats.explored += 1;
                 let add = gather(&addable, a_mask);
-                let deviated = game.deviate(player, &remove, &add);
-                let delta = EdgeDelta {
-                    remove: remove.iter().map(|&t| (player, t)).collect(),
-                    insert: add.iter().map(|&t| (player, t)).collect(),
-                };
-                let after = evaluate(&deviated, &delta, &mut stats);
+                let after = evaluate(&game.deviate(player, &remove, &add), &mut stats);
                 let improves = if before == f64::NEG_INFINITY {
                     after > f64::NEG_INFINITY
                 } else {
@@ -685,8 +599,7 @@ pub(crate) fn search_player(
 
 /// The whole-game equilibrium check behind [`NashAnalyzer::check`].
 ///
-/// One [`EvalContext`] snapshot of the current state is shared across all
-/// players. Players deviate independently, so each player's enumeration
+/// Players deviate independently, so each player's enumeration
 /// fans out to its own core when the `parallel` feature is on; results
 /// come back in player order and are folded sequentially, so the report —
 /// counters included — is identical at any thread count.
@@ -698,9 +611,8 @@ pub(crate) fn check_impl(
     let mut check_span = lcg_obs::span::span("equilibria/check");
     check_span.field_u64("players", game.graph().node_count() as u64);
     let start_hits = cache.stats().hits;
-    let ctx = search.incremental.then(|| EvalContext::new(game, &search));
     let players: Vec<NodeId> = game.graph().node_ids().collect();
-    let check_player = |&player: &NodeId| search_player(game, player, cache, search, ctx.as_ref());
+    let check_player = |&player: &NodeId| search_player(game, player, cache, search);
     #[cfg(feature = "parallel")]
     let per_player = lcg_parallel::par_map(&players, check_player);
     #[cfg(not(feature = "parallel"))]
@@ -721,7 +633,6 @@ pub(crate) fn check_impl(
         explored: stats.explored,
         bound_pruned: stats.bound_pruned,
         sources_recomputed: stats.sources_recomputed,
-        sources_reweighted: stats.sources_reweighted,
         cache_hits: cache.stats().hits - start_hits,
     };
     // Mirror the report counters into the global registry so RunReports
@@ -732,19 +643,15 @@ pub(crate) fn check_impl(
         lcg_obs::counter!("equilibria/explored").add(report.explored);
         lcg_obs::counter!("equilibria/bound_pruned").add(report.bound_pruned);
         lcg_obs::counter!("equilibria/sources_recomputed").add(report.sources_recomputed);
-        lcg_obs::counter!("equilibria/sources_reweighted").add(report.sources_reweighted);
     }
     report
 }
 
 /// The single entry point for deviation search and equilibrium checking.
 ///
-/// Owns the [`DeviationSearch`] knobs and a [`DeviationCache`], so the
-/// wiring that used to be spread across the
-/// `best_deviation`/`_cached`/`_with` and `check_equilibrium`/`_cached`/
-/// `_with` triplets collapses into one value: build an analyzer, reuse it
-/// across checks, and every repeated `(player, state)` utility is a hash
-/// lookup. The shared [`EvalContext`] snapshot is managed internally.
+/// Owns the [`DeviationSearch`] knobs and a [`DeviationCache`]: build an
+/// analyzer, reuse it across checks, and every repeated
+/// `(player, state)` utility is a hash lookup.
 ///
 /// An analyzer is only valid for games over one player set and one
 /// [`GameParams`](crate::game::GameParams) — the same caveat as
@@ -784,8 +691,8 @@ impl NashAnalyzer {
         }
     }
 
-    /// The unaccelerated reference analyzer (exhaustive enumeration,
-    /// from-scratch evaluation) the differential tests compare against.
+    /// The unaccelerated reference analyzer (exhaustive enumeration) the
+    /// differential tests compare against.
     pub fn exhaustive() -> Self {
         NashAnalyzer::with_search(DeviationSearch::exhaustive())
     }
@@ -809,7 +716,7 @@ impl NashAnalyzer {
     /// excluded) — up to `2^owned · 2^addable` candidates, minus whatever
     /// the configured [`DeviationSearch`] prunes.
     pub fn best_deviation(&self, game: &Game, player: NodeId) -> (Option<Deviation>, SearchStats) {
-        search_player(game, player, &self.cache, self.search, None)
+        search_player(game, player, &self.cache, self.search)
     }
 
     /// Checks whether the current game state is a (pure) Nash
@@ -822,85 +729,6 @@ impl NashAnalyzer {
     pub fn check(&self, game: &Game) -> NashReport {
         check_impl(game, &self.cache, self.search)
     }
-}
-
-/// Finds the best unilateral deviation of `player`, if any.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::new().best_deviation(game, player) — see DESIGN.md"
-)]
-pub fn best_deviation(game: &Game, player: NodeId, explored: &mut u64) -> Option<Deviation> {
-    let (best, stats) = search_player(
-        game,
-        player,
-        &DeviationCache::new(),
-        DeviationSearch::default(),
-        None,
-    );
-    *explored += stats.explored;
-    best
-}
-
-/// [`NashAnalyzer::best_deviation`] with a caller-owned cache.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::best_deviation — the analyzer owns the cache; see DESIGN.md"
-)]
-pub fn best_deviation_cached(
-    game: &Game,
-    player: NodeId,
-    explored: &mut u64,
-    cache: &DeviationCache,
-) -> Option<Deviation> {
-    let (best, stats) = search_player(game, player, cache, DeviationSearch::default(), None);
-    *explored += stats.explored;
-    best
-}
-
-/// The full-control deviation search.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::with_search(search).best_deviation(game, player) — see DESIGN.md"
-)]
-pub fn best_deviation_with(
-    game: &Game,
-    player: NodeId,
-    cache: &DeviationCache,
-    search: DeviationSearch,
-    ctx: Option<&EvalContext>,
-) -> (Option<Deviation>, SearchStats) {
-    search_player(game, player, cache, search, ctx)
-}
-
-/// Checks whether the current game state is a (pure) Nash equilibrium.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::new().check(game) — see DESIGN.md"
-)]
-pub fn check_equilibrium(game: &Game) -> NashReport {
-    check_impl(game, &DeviationCache::new(), DeviationSearch::default())
-}
-
-/// [`NashAnalyzer::check`] with a caller-owned cache.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::check — the analyzer owns the cache; see DESIGN.md"
-)]
-pub fn check_equilibrium_cached(game: &Game, cache: &DeviationCache) -> NashReport {
-    check_impl(game, cache, DeviationSearch::default())
-}
-
-/// [`NashAnalyzer::check`] under explicit [`DeviationSearch`] knobs.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::with_search(search).check(game) — see DESIGN.md"
-)]
-pub fn check_equilibrium_with(
-    game: &Game,
-    cache: &DeviationCache,
-    search: DeviationSearch,
-) -> NashReport {
-    check_impl(game, cache, search)
 }
 
 #[cfg(test)]
@@ -1058,20 +886,7 @@ mod tests {
     fn every_search_configuration_agrees() {
         // The accelerations must never change the verdict, the chosen
         // deviations, or the exhaustive candidate count.
-        let configs = [
-            DeviationSearch::default(),
-            DeviationSearch::exhaustive(),
-            DeviationSearch {
-                bound_pruning: true,
-                incremental: false,
-                fallback_fraction: 1.0,
-            },
-            DeviationSearch {
-                bound_pruning: false,
-                incremental: true,
-                fallback_fraction: 1.0,
-            },
-        ];
+        let configs = [DeviationSearch::default(), DeviationSearch::exhaustive()];
         for game in [
             Game::path(5, GameParams::default()),
             Game::star(

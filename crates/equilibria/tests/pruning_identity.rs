@@ -1,8 +1,9 @@
 //! Differential suite for the accelerated deviation search: across the
-//! Thm 7–11 parameter grid, the pruned + incremental search must return
+//! Thm 7–11 parameter grid, the bound-pruned search must return
 //! the same verdict and the same (bit-identical) deviations as the
 //! exhaustive reference walk, and its counters must account for every
-//! candidate the reference evaluates.
+//! candidate the reference evaluates. Both evaluate from scratch, so their
+//! Brandes work is exactly one pass per live player per cache miss.
 
 use lcg_equilibria::game::{Game, GameParams};
 use lcg_equilibria::nash::{Deviation, DeviationSearch, NashAnalyzer};
@@ -95,9 +96,9 @@ fn accelerated_search_is_verdict_and_deviation_identical_on_the_theorem_grid() {
 
 #[test]
 fn each_acceleration_is_independently_identical() {
-    // Pruning-only and incremental-only must each match the reference on a
-    // representative slice of the grid (the full cross product is covered
-    // by the combined test above).
+    // Pruning-only must match the reference on a representative slice of
+    // the grid (the full cross product is covered by the combined test
+    // above).
     let slice = [
         ("star", Game::star(5, stable_star_params())),
         ("path", Game::path(5, GameParams::default())),
@@ -115,23 +116,9 @@ fn each_acceleration_is_independently_identical() {
             ),
         ),
     ];
-    let configs = [
-        DeviationSearch {
-            bound_pruning: true,
-            incremental: false,
-            fallback_fraction: 1.0,
-        },
-        DeviationSearch {
-            bound_pruning: false,
-            incremental: true,
-            fallback_fraction: 1.0,
-        },
-        DeviationSearch {
-            bound_pruning: true,
-            incremental: true,
-            fallback_fraction: 0.5,
-        },
-    ];
+    let configs = [DeviationSearch {
+        bound_pruning: true,
+    }];
     for (shape, game) in slice {
         let reference = NashAnalyzer::exhaustive().check(&game);
         for config in configs {
@@ -152,8 +139,9 @@ fn each_acceleration_is_independently_identical() {
 fn stable_star_regime_prunes_aggressively() {
     // The acceptance regime of the deviation-scaling bench: a Thm 7 stable
     // star at high Zipf bias. The bound should eliminate the vast majority
-    // of each leaf's 2 · 2^(n−2) candidates, and the incremental engine
-    // should answer the surviving ones without full Brandes passes.
+    // of each leaf's 2 · 2^(n−2) candidates. Every surviving evaluation
+    // pays a full Brandes pass over all 11 players, so the Brandes work
+    // shrinks by the same factor as the evaluations.
     let game = Game::star(10, stable_star_params());
     let exhaustive = NashAnalyzer::exhaustive().check(&game);
     let pruned = NashAnalyzer::new().check(&game);
@@ -171,6 +159,22 @@ fn stable_star_regime_prunes_aggressively() {
         pruned.sources_recomputed,
         exhaustive.sources_recomputed
     );
+}
+
+#[test]
+fn from_scratch_evaluation_pays_one_pass_per_live_player_per_miss() {
+    for (shape, game) in grid() {
+        let live = game.graph().node_count() as u64;
+        for analyzer in [NashAnalyzer::new(), NashAnalyzer::exhaustive()] {
+            let report = analyzer.check(&game);
+            assert_eq!(
+                report.sources_recomputed,
+                analyzer.cache().stats().misses * live,
+                "{shape} with {live} players under {:?}",
+                analyzer.search()
+            );
+        }
+    }
 }
 
 fn stable_star_params() -> GameParams {

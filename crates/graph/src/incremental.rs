@@ -52,10 +52,8 @@
 //! satisfies: pair weights are **non-negative** and pairs involving the
 //! new node weigh **zero** (`p_trans` covers host pairs only).
 //!
-//! When the pruning condition fails to exclude enough sources — or the
-//! query is degenerate (no live targets, empty host) — the engine falls
-//! back to the existing full Brandes path, which is bit-identical by
-//! construction.
+//! On an empty host there is nothing to prune, and the engine runs the
+//! existing full Brandes path, which is bit-identical by construction.
 
 use crate::betweenness::{node_dependencies, weighted_node_betweenness, NodeScores, SOURCE_CHUNK};
 use crate::bfs::{bfs, BfsTree};
@@ -143,8 +141,6 @@ pub struct IncrementalBetweenness<N = (), E = ()> {
     /// Per-source host dependency vectors (lazily built; only needed by
     /// full-vector queries, not by the new-node fast path).
     contributions: OnceLock<Vec<Vec<f64>>>,
-    /// Recompute everything when the affected fraction exceeds this.
-    fallback_fraction: f64,
     counters: Counters,
 }
 
@@ -195,21 +191,8 @@ where
             trees,
             sources,
             contributions: OnceLock::new(),
-            fallback_fraction: 1.0,
             counters: Counters::default(),
         }
-    }
-
-    /// Lowers the affected-fraction threshold above which a query skips
-    /// pruning and runs the full Brandes path (default `1.0`: prune
-    /// whenever at least one source can be skipped).
-    pub fn with_fallback_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction) && !fraction.is_nan(),
-            "fallback fraction must lie in [0, 1], got {fraction}"
-        );
-        self.fallback_fraction = fraction;
-        self
     }
 
     /// The snapshotted host (without the new node).
@@ -374,13 +357,12 @@ where
         }
     }
 
-    /// Decides between pruning and the full-Brandes fallback.
+    /// Decides between pruning and the full-Brandes fallback, which only
+    /// an empty host takes.
     fn plan(&self, targets: &[NodeId]) -> (Vec<bool>, usize, bool) {
         let affected = self.affected_sources(targets);
         let affected_count = affected.iter().filter(|&&a| a).count();
-        let live = self.sources.len();
-        let fall_back = live == 0 || (affected_count as f64) > self.fallback_fraction * live as f64;
-        (affected, affected_count, fall_back)
+        (affected, affected_count, self.sources.is_empty())
     }
 
     /// Weighted node betweenness of the full augmented graph, plus the
@@ -627,22 +609,6 @@ mod tests {
     fn parallel_channels_count_multiply() {
         let host = generators::path(4);
         check_host(&host, &[NodeId(1), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn forced_fallback_is_still_bit_identical() {
-        let host = generators::cycle(7);
-        let weight = |s: NodeId, r: NodeId| 1.0 + 0.05 * (s.index() + r.index()) as f64;
-        let engine = IncrementalBetweenness::new(&host, weight).with_fallback_fraction(0.0);
-        // 0–u–3 is a length-2 shortcut across the cycle, so at least one
-        // source is affected and the zero threshold forces the fallback.
-        let targets = [NodeId(0), NodeId(3)];
-        let (scores, stats) = engine.node_betweenness(&targets);
-        assert!(stats.fell_back);
-        let expect =
-            weighted_node_betweenness(&engine.augment(&targets), |s, r| engine.weight(s, r));
-        assert!(bit_eq(&scores, &expect));
-        assert_eq!(engine.stats().fallbacks, 1);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * [`incremental`] — delta-aware betweenness for `host + {u, channels(u)}`
 //!   augmentations: snapshots per-source BFS trees once and recomputes only
 //!   affected sources, bit-identical to the from-scratch path.
-//! * [`edge_delta`] — the same idea for batches of channel insertions and
-//!   deletions between *existing* nodes (the §IV deviation workload), with
-//!   per-query pair-weight overrides for the recomputed-Zipf setting.
+//! * [`edge_delta`] — the [`edge_delta::EdgeDelta`] data type (a batch of
+//!   channel edits between existing nodes), kept for the end-to-end
+//!   benchmark's `certify` probe. Deviation checks recompute from scratch.
 //! * [`metrics`] — clustering, path lengths and degree statistics for
 //!   reporting on emergent topologies.
 //! * [`generators`] — star/path/circle/complete topologies of §IV and the

@@ -1,7 +1,7 @@
 //! # lcg-obs — the workspace's unified observability layer
 //!
 //! PRs 7–8 bolted ad-hoc counters onto each subsystem (`EvalCacheStats`,
-//! `DeltaQueryStats`, the `NashReport` fields) — three incompatible shapes
+//! `IncrementalStats`, the `NashReport` fields) — three incompatible shapes
 //! with no timing data, no hierarchy and no export format. This crate
 //! replaces that per-PR plumbing with one zero-dependency layer (offline,
 //! in the spirit of `crates/compat/`) that every workload crate shares:
@@ -18,8 +18,7 @@
 //!   rendering fails loudly on non-finite floats instead of silently
 //!   emitting invalid JSON.
 //! * [`stats`] — the shared sum/ratio helpers that `EvalCacheStats`,
-//!   `EdgeDeltaStats`/`IncrementalStats` and `NashReport` previously
-//!   re-implemented.
+//!   `IncrementalStats` and `NashReport` previously re-implemented.
 //!
 //! ## The disabled-path guarantee
 //!
