@@ -43,7 +43,6 @@ use crate::eval_cache::{strategy_key, EvalCache, EvalCacheStats};
 use crate::rates::TransactionModel;
 use crate::strategy::{Action, Strategy};
 use crate::zipf::{self, ZipfVariant};
-use lcg_graph::bfs;
 use lcg_graph::incremental::{IncrementalBetweenness, IncrementalStats};
 use lcg_graph::{DiGraph, NodeId};
 use lcg_sim::onchain::CostModel;
@@ -192,8 +191,9 @@ pub struct UtilityOracle {
     /// [`RevenueMode::FixedPerChannel`] (computed lazily on first use).
     fixed_channel_rates: std::sync::OnceLock<Vec<f64>>,
     /// Delta-aware betweenness over the host, built on the first
-    /// [`RevenueMode::Intermediary`] evaluation: answers the new node's
-    /// score by recomputing only affected sources, bit-identical to the
+    /// evaluation: its distance snapshot prices `E^fees` in every mode,
+    /// and it answers the [`RevenueMode::Intermediary`] score by
+    /// recomputing only affected sources, bit-identical to the
     /// from-scratch Brandes path.
     incremental: OnceLock<IncrementalBetweenness>,
     /// Strategy-keyed memo of full evaluations (`U`, `U'`, `U^b`).
@@ -211,7 +211,7 @@ pub struct OracleStats {
     /// Evaluation-memo counters.
     pub cache: EvalCacheStats,
     /// Incremental-betweenness counters; `None` until the first
-    /// [`RevenueMode::Intermediary`] evaluation builds the engine.
+    /// evaluation builds the engine.
     pub incremental: Option<IncrementalStats>,
 }
 
@@ -340,7 +340,8 @@ impl UtilityOracle {
     }
 
     /// The delta-aware betweenness engine over the host, built once on
-    /// first use (one BFS per host source plus the pair-weight matrix).
+    /// first use (one BFS per host source for the distance matrix, plus
+    /// the pair-weight matrix).
     fn incremental_engine(&self) -> &IncrementalBetweenness {
         self.incremental.get_or_init(|| {
             IncrementalBetweenness::new(&self.host, |s, r| {
@@ -377,19 +378,19 @@ impl UtilityOracle {
         g
     }
 
-    /// Expected fees `E^fees_u` for the augmented graph `g` (with the user
-    /// at [`UtilityOracle::new_node`]); `+∞` if any host node is
-    /// unreachable.
-    fn expected_fees_in(&self, g: &Topology) -> f64 {
-        let u = self.new_node();
-        let tree = bfs::bfs(g, u);
+    /// Expected fees `E^fees_u` of a user whose usable channels end at
+    /// `targets`; `+∞` if any host node it pays is unreachable. Distances
+    /// come off the engine's snapshot, `d(u, v) = 1 + min_t d_host(t, v)`,
+    /// so no augmented graph is built.
+    fn expected_fees(&self, targets: &[NodeId]) -> f64 {
+        let engine = self.incremental_engine();
         let mut total = 0.0;
         for v in self.host.node_ids() {
             let p = self.p_out[v.index()];
             if p == 0.0 {
                 continue;
             }
-            match tree.distance(v) {
+            match engine.new_node_distance(targets, v) {
                 Some(d) => {
                     total += p * self.params.hop_charging.units(d);
                 }
@@ -420,22 +421,22 @@ impl UtilityOracle {
         })
     }
 
-    /// Expected revenue `E^rev_u` for the augmented graph `g` under the
-    /// configured [`RevenueMode`].
-    fn revenue_in(&self, g: &Topology, strategy: &Strategy) -> f64 {
-        let u = self.new_node();
+    /// Expected revenue `E^rev_u` of `strategy`, whose usable channels end
+    /// at `targets`, under the configured [`RevenueMode`].
+    fn revenue(&self, strategy: &Strategy, targets: &[NodeId]) -> f64 {
         match self.params.revenue_mode {
             RevenueMode::Intermediary => {
                 // Delta path: only the sources whose shortest paths the new
                 // node can change are recomputed; bit-identical to
-                // `self.model.revenue_rates(g, favg)[u]` by construction.
-                let targets = self.usable_targets(strategy);
-                let (score, _) = self.incremental_engine().new_node_score_on(g, &targets);
+                // `self.model.revenue_rates(&self.augmented(strategy), favg)[u]`
+                // by construction.
+                let (score, _) = self.incremental_engine().new_node_score(targets);
                 score
             }
             RevenueMode::IncidentEdges => {
-                let scores = self.model.incident_rate_revenue(g, self.params.favg);
-                scores.get(u.index()).copied().unwrap_or(0.0)
+                let g = self.augmented(strategy);
+                let scores = self.model.incident_rate_revenue(&g, self.params.favg);
+                scores.get(self.new_node().index()).copied().unwrap_or(0.0)
             }
             RevenueMode::FixedPerChannel => {
                 let rates = self.fixed_rates();
@@ -467,9 +468,9 @@ impl UtilityOracle {
             .iter()
             .map(|a| self.params.cost.channel_cost(a.lock))
             .sum();
-        let g = self.augmented(strategy);
-        let expected_fees = self.expected_fees_in(&g);
-        let revenue = self.revenue_in(&g, strategy);
+        let targets = self.usable_targets(strategy);
+        let expected_fees = self.expected_fees(&targets);
+        let revenue = self.revenue(strategy, &targets);
         let simplified = revenue - expected_fees;
         let utility = simplified - channel_cost;
         let cu = self.params.cost.all_onchain_cost(self.params.new_user_rate);
@@ -540,6 +541,82 @@ mod tests {
         let host = generators::star(leaves);
         let n = host.node_bound();
         UtilityOracle::new(host, vec![1.0; n], UtilityParams::default())
+    }
+
+    /// The reference fee path: a BFS from the new node over the
+    /// augmented graph, summed over `host.node_ids()` like the oracle.
+    fn fees_by_bfs(oracle: &UtilityOracle, strategy: &Strategy) -> f64 {
+        let tree = lcg_graph::bfs::bfs(&oracle.augmented(strategy), oracle.new_node());
+        let params = oracle.params();
+        let mut total = 0.0;
+        for v in oracle.host().node_ids() {
+            let p = oracle.outgoing_probabilities()[v.index()];
+            if p == 0.0 {
+                continue;
+            }
+            match tree.distance(v) {
+                Some(d) => total += p * params.hop_charging.units(d),
+                None => return f64::INFINITY,
+            }
+        }
+        params.new_user_rate * params.fee_out * total
+    }
+
+    #[test]
+    fn snapshot_fees_match_bfs_on_the_augmented_graph() {
+        // A BA host plus a separate three-node path: strategies that miss
+        // the path leave the new node unable to pay it (+∞).
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0xfee);
+        let mut host = generators::barabasi_albert(30, 2, &mut rng);
+        let island = host.add_nodes(3);
+        host.add_undirected(island[0], island[1], ());
+        host.add_undirected(island[1], island[2], ());
+        let n = host.node_bound();
+        let strategies = [
+            vec![],
+            vec![(NodeId(0), 2.0)],
+            vec![(NodeId(4), 2.0), (NodeId(31), 2.0)],
+            vec![(NodeId(4), 2.0), (NodeId(31), 1.0)], // island channel unusable
+            vec![(NodeId(7), 1.0), (NodeId(12), 1.0)], // nothing usable
+            vec![(NodeId(29), 3.0), (NodeId(29), 3.0), (NodeId(32), 2.0)],
+            vec![
+                (NodeId(1), 2.0),
+                (NodeId(20), 1.0),
+                (NodeId(30), 5.0),
+                (NodeId(9), 2.0),
+            ],
+        ];
+        for revenue_mode in [
+            RevenueMode::Intermediary,
+            RevenueMode::IncidentEdges,
+            RevenueMode::FixedPerChannel,
+        ] {
+            for hop_charging in [HopCharging::Intermediaries, HopCharging::Distance] {
+                let params = UtilityParams {
+                    revenue_mode,
+                    hop_charging,
+                    min_usable_lock: 1.5,
+                    ..UtilityParams::default()
+                };
+                let oracle = UtilityOracle::new(host.clone(), vec![1.0; n], params);
+                let mut disconnected = 0;
+                for pairs in &strategies {
+                    let strategy = Strategy::from_pairs(pairs);
+                    let got = oracle.evaluate(&strategy).expected_fees;
+                    let expect = fees_by_bfs(&oracle, &strategy);
+                    assert_eq!(
+                        got.to_bits(),
+                        expect.to_bits(),
+                        "{revenue_mode:?} {hop_charging:?} {pairs:?}: {got} vs {expect}"
+                    );
+                    disconnected += usize::from(got == f64::INFINITY);
+                }
+                assert_eq!(
+                    disconnected, 4,
+                    "empty, island-less and unusable strategies"
+                );
+            }
+        }
     }
 
     #[test]

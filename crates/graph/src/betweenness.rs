@@ -170,9 +170,9 @@ where
 /// ignored by callers).
 ///
 /// This is the exact inner loop of [`weighted_node_betweenness`], exposed
-/// so the incremental engine ([`crate::incremental`]) recomputes affected
-/// sources with *identical* floating-point operations — the foundation of
-/// its bit-identity guarantee.
+/// for the incremental engine's ([`crate::incremental`]) full-vector
+/// reference path and its cached per-source host vectors; its new-node
+/// kernel repeats these floating-point operations in the same order.
 ///
 /// # Panics
 ///

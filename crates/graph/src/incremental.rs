@@ -1,14 +1,13 @@
 //! Incremental weighted node betweenness for single-node augmentations.
 //!
-//! Every expensive operation in this reproduction — Algorithm 1/2
-//! candidate scoring, Nash deviation enumeration, best-response dynamics —
-//! reduces to weighted Brandes betweenness recomputed from scratch on an
-//! *augmented* graph that differs from the host by exactly one node `u`
-//! and a handful of channels. [`IncrementalBetweenness`] snapshots the
-//! host's per-source BFS trees once and then answers
-//! "betweenness on `host + {u, channels(u)}`" by recomputing only the
-//! sources whose shortest-path structure the new node can actually
-//! change.
+//! Algorithm 1/2 candidate scoring asks, for every candidate strategy,
+//! for weighted Brandes betweenness on an *augmented* graph that differs
+//! from the host by exactly one node `u` and a handful of channels.
+//! [`IncrementalBetweenness`] snapshots the host once — all-pairs hop
+//! distances in one flat matrix plus a CSR copy of its out- and
+//! in-adjacency — and then answers "betweenness on
+//! `host + {u, channels(u)}`" by recomputing only the sources whose
+//! shortest-path structure the new node can actually change.
 //!
 //! ## The affected-source condition
 //!
@@ -31,8 +30,30 @@
 //! triangle inequality gives `a + 2 + b ≥ d + 2`, so the condition can
 //! only trigger through a genuine simple path.) The test is *exact*: no
 //! false positives, no false negatives. Unaffected sources contribute to
-//! the augmented betweenness exactly what they contribute to the host's,
-//! so their dependency vectors are replayed from the snapshot.
+//! the augmented betweenness exactly what they contribute to the host's:
+//! `+0.0` to `u`, and a cached dependency vector to everyone else.
+//!
+//! ## The new-node kernel
+//!
+//! [`IncrementalBetweenness::new_node_score`] never builds the augmented
+//! graph. Each affected source runs one Brandes pass over the host CSR
+//! with `u` spliced in virtually, in the exact edge order of
+//! [`IncrementalBetweenness::augment`]: `u`'s out-neighbours are the live
+//! targets in query order, and each target lists `u` after its host
+//! out-neighbours, once per channel (in-adjacency likewise). The pass
+//! keeps epoch-stamped `dist`/`σ`/`δ` slots and the BFS order in a
+//! run-owned scratch and stores no predecessor lists: the backward sweep
+//! walks each node's in-edges and keeps those with
+//! `dist[v] + 1 == dist[w]`, which is exactly the multiset of
+//! predecessor edges `bfs` would have recorded.
+//!
+//! Only `u`'s *cone* matters: `u` and every node that some shortest path
+//! from `s` reaches through `u`. Each shortest-path successor of a cone
+//! node is itself in the cone, so a cone node's `δ` only ever receives
+//! additions from cone nodes. The forward pass marks the cone as it goes
+//! and stops after the first fully discovered layer without a cone node;
+//! the backward sweep visits cone nodes only and stops once the layer
+//! `dist[u] + 1` is done, because `δ[u]` is final from then on.
 //!
 //! ## Bit-identity
 //!
@@ -40,8 +61,14 @@
 //! [`weighted_node_betweenness`](crate::betweenness::weighted_node_betweenness)
 //! on the augmented graph, not merely numerically close:
 //!
-//! * affected sources (and the new node itself) are recomputed with the
-//!   *same* kernel ([`node_dependencies`]) on the same augmented graph;
+//! * the kernel discovers nodes in the same order as [`bfs`] and sums `σ`
+//!   in that discovery order, and its backward sweep visits `w` in the
+//!   same reverse BFS order as
+//!   [`node_dependencies`](crate::betweenness::node_dependencies); within
+//!   one `w`, every predecessor `v` receives its own independent
+//!   `δ[v] += σ[v]·coeff`, so the order in which predecessors are listed
+//!   changes no bit, and skipping the nodes outside the cone drops no
+//!   addition that a cone node's `δ` would have received;
 //! * unaffected sources replay cached dependency vectors that are
 //!   bit-equal to what the from-scratch kernel would produce (the new
 //!   node only ever adds exact `+0.0` terms to their accumulation);
@@ -52,17 +79,23 @@
 //! satisfies: pair weights are **non-negative** and pairs involving the
 //! new node weigh **zero** (`p_trans` covers host pairs only).
 //!
-//! On an empty host there is nothing to prune, and the engine runs the
-//! existing full Brandes path, which is bit-identical by construction.
+//! The full-vector [`IncrementalBetweenness::node_betweenness`] is the
+//! reference path: it recomputes affected sources with [`bfs`] and
+//! `node_dependencies` on [`IncrementalBetweenness::augment`]. On an empty
+//! host there is nothing to prune, and both queries run the full Brandes
+//! path, which is bit-identical by construction.
 
 use crate::betweenness::{node_dependencies, weighted_node_betweenness, NodeScores, SOURCE_CHUNK};
-use crate::bfs::{bfs, BfsTree};
+use crate::bfs::bfs;
 use crate::graph::{DiGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Distance sentinel for "unreachable" in the pruning arithmetic.
 const INF: u64 = u64::MAX / 4;
+
+/// "Unreachable" in the snapshotted host distance matrix.
+const UNREACHABLE: u32 = u32::MAX;
 
 /// Per-query breakdown returned alongside incremental results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,6 +139,103 @@ impl IncrementalStats {
     }
 }
 
+/// One adjacency direction of the host in compressed sparse rows: the
+/// neighbours of `v` are `nodes[offsets[v]..offsets[v + 1]]`, one entry
+/// per edge (parallel edges repeat), in the host's edge order.
+#[derive(Debug)]
+struct Csr {
+    offsets: Vec<usize>,
+    nodes: Vec<u32>,
+}
+
+impl Csr {
+    fn build<I>(n: usize, neighbours: impl Fn(NodeId) -> I) -> Csr
+    where
+        I: Iterator<Item = NodeId>,
+    {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut nodes = Vec::new();
+        offsets.push(0);
+        for v in 0..n {
+            nodes.extend(neighbours(NodeId(v)).map(|w| node_u32(w.index())));
+            offsets.push(nodes.len());
+        }
+        Csr { offsets, nodes }
+    }
+
+    fn row(&self, v: usize) -> &[u32] {
+        &self.nodes[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+fn node_u32(v: usize) -> u32 {
+    u32::try_from(v).expect("node ids fit in u32")
+}
+
+/// Run-owned buffers of the new-node kernel over the host plus the
+/// virtual new node (slot `n`). Slots are valid only where `stamp`
+/// equals the current epoch, so sources reuse them without clearing.
+struct Scratch {
+    epoch: u32,
+    stamp: Vec<u32>,
+    dist: Vec<u32>,
+    sigma: Vec<f64>,
+    delta: Vec<f64>,
+    /// BFS discovery order; doubles as the forward queue.
+    order: Vec<u32>,
+    /// Channels from the new node to each host node (0 for non-targets).
+    channels: Vec<u32>,
+    /// Epoch stamp of the nodes in the new node's cone (module docs).
+    cone: Vec<u32>,
+    /// Whether the layer being discovered holds a cone node yet.
+    cone_ahead: bool,
+}
+
+impl Scratch {
+    /// Scratch for a host with `n` slots and the new node's live targets.
+    fn new(n: usize, live_targets: &[NodeId]) -> Scratch {
+        let mut channels = vec![0; n];
+        for t in live_targets {
+            channels[t.index()] += 1;
+        }
+        Scratch {
+            epoch: 0,
+            stamp: vec![0; n + 1],
+            dist: vec![0; n + 1],
+            sigma: vec![0.0; n + 1],
+            delta: vec![0.0; n + 1],
+            order: Vec::with_capacity(n + 1),
+            channels,
+            cone: vec![0; n + 1],
+            cone_ahead: false,
+        }
+    }
+
+    fn seen(&self, v: usize) -> bool {
+        self.stamp[v] == self.epoch
+    }
+
+    /// One `bfs` edge relaxation from a node at distance `dv` with path
+    /// count `sv`; a shortest-path edge out of the cone extends it.
+    fn relax(&mut self, w: usize, dv: u32, sv: f64, cone: bool) {
+        if !self.seen(w) {
+            self.stamp[w] = self.epoch;
+            self.dist[w] = dv + 1;
+            self.sigma[w] = sv;
+            self.delta[w] = 0.0;
+            self.order.push(node_u32(w));
+        } else if self.dist[w] == dv + 1 {
+            self.sigma[w] += sv;
+        } else {
+            return;
+        }
+        if cone {
+            self.cone[w] = self.epoch;
+            self.cone_ahead = true;
+        }
+    }
+}
+
 /// Incremental evaluator of weighted node betweenness on
 /// `host + {u, channels(u)}` augmentations.
 ///
@@ -132,10 +262,14 @@ impl IncrementalStats {
 #[derive(Debug)]
 pub struct IncrementalBetweenness<N = (), E = ()> {
     host: DiGraph<N, E>,
-    /// Host-pair weights, `weight[s][r]`; zero on and outside the host.
-    weight: Vec<Vec<f64>>,
-    /// One BFS tree per live host source (`None` for tombstoned ids).
-    trees: Vec<Option<BfsTree>>,
+    /// Host-pair weights, `weight[s * n + r]`; zero on self-pairs and
+    /// tombstones.
+    weight: Vec<f64>,
+    /// Host hop distances, `dist[s * n + v]`, [`UNREACHABLE`] where `v`
+    /// cannot be reached from `s` (and on every row of a tombstone).
+    dist: Vec<u32>,
+    out_adj: Csr,
+    in_adj: Csr,
     /// Live host sources in index order (the from-scratch source order).
     sources: Vec<NodeId>,
     /// Per-source host dependency vectors (lazily built; only needed by
@@ -149,8 +283,9 @@ where
     N: Clone + Default + Sync,
     E: Clone + Default + Sync,
 {
-    /// Snapshots `host` under the pair weight `weight`, running one BFS
-    /// per live source (`O(n(n+m))` once, amortized over every query).
+    /// Snapshots `host` under the pair weight `weight`: the CSR
+    /// adjacency, then one BFS per live source for the distance matrix
+    /// (`O(n(n+m))` once, amortized over every query).
     ///
     /// `weight` is consulted for ordered live host pairs `s ≠ r` and must
     /// be non-negative; pairs involving the future new node are defined
@@ -160,39 +295,50 @@ where
         W: Fn(NodeId, NodeId) -> f64 + Sync,
     {
         let n = host.node_bound();
-        let weight_matrix: Vec<Vec<f64>> = (0..n)
-            .map(|s| {
-                let s = NodeId(s);
-                (0..n)
-                    .map(|r| {
-                        let r = NodeId(r);
-                        if s != r && host.contains_node(s) && host.contains_node(r) {
-                            weight(s, r)
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let sources: Vec<NodeId> = host.node_ids().collect();
-        let run_source = |&s: &NodeId| bfs(host, s);
-        #[cfg(feature = "parallel")]
-        let trees_in_order = lcg_parallel::par_map(&sources, run_source);
-        #[cfg(not(feature = "parallel"))]
-        let trees_in_order: Vec<BfsTree> = sources.iter().map(run_source).collect();
-        let mut trees: Vec<Option<BfsTree>> = (0..n).map(|_| None).collect();
-        for (s, tree) in sources.iter().zip(trees_in_order) {
-            trees[s.index()] = Some(tree);
+        let mut weight_matrix = vec![0.0; n * n];
+        for s in host.node_ids() {
+            for r in host.node_ids() {
+                if s != r {
+                    weight_matrix[s.index() * n + r.index()] = weight(s, r);
+                }
+            }
         }
-        IncrementalBetweenness {
+        let sources: Vec<NodeId> = host.node_ids().collect();
+        let mut engine = IncrementalBetweenness {
             host: host.clone(),
             weight: weight_matrix,
-            trees,
+            dist: Vec::new(),
+            out_adj: Csr::build(n, |v| host.out_neighbors(v)),
+            in_adj: Csr::build(n, |v| host.in_neighbors(v)),
             sources,
             contributions: OnceLock::new(),
             counters: Counters::default(),
+        };
+        // Host distances come from the kernel's forward pass with no
+        // channels, so `u` stays unreached.
+        let chunks: Vec<&[NodeId]> = engine.sources.chunks(SOURCE_CHUNK).collect();
+        let run_chunk = |chunk: &&[NodeId]| {
+            let mut scratch = Scratch::new(n, &[]);
+            let mut rows = vec![UNREACHABLE; chunk.len() * n];
+            for (&s, row) in chunk.iter().zip(rows.chunks_mut(n)) {
+                engine.forward(s, &[], &mut scratch);
+                for &v in &scratch.order {
+                    row[v as usize] = scratch.dist[v as usize];
+                }
+            }
+            rows
+        };
+        #[cfg(feature = "parallel")]
+        let rows = lcg_parallel::par_map(&chunks, run_chunk);
+        #[cfg(not(feature = "parallel"))]
+        let rows: Vec<Vec<u32>> = chunks.iter().map(run_chunk).collect();
+        let mut dist = vec![UNREACHABLE; n * n];
+        let live_rows = rows.iter().flat_map(|r| r.chunks(n));
+        for (s, row) in engine.sources.iter().zip(live_rows) {
+            dist[s.index() * n..(s.index() + 1) * n].copy_from_slice(row);
         }
+        engine.dist = dist;
+        engine
     }
 
     /// The snapshotted host (without the new node).
@@ -208,11 +354,34 @@ where
     /// The snapshotted pair weight (zero on self-pairs, tombstones and
     /// anything outside the host — including the new node).
     pub fn weight(&self, s: NodeId, r: NodeId) -> f64 {
-        self.weight
-            .get(s.index())
-            .and_then(|row| row.get(r.index()))
-            .copied()
-            .unwrap_or(0.0)
+        let n = self.host.node_bound();
+        if s.index() < n && r.index() < n {
+            self.weight[s.index() * n + r.index()]
+        } else {
+            0.0
+        }
+    }
+
+    /// Host hop distance from `s` to `v` out of the snapshot; `None` if
+    /// unreachable, tombstoned or outside the host.
+    fn host_distance(&self, s: NodeId, v: NodeId) -> Option<u32> {
+        let n = self.host.node_bound();
+        if s.index() >= n || v.index() >= n {
+            return None;
+        }
+        Some(self.dist[s.index() * n + v.index()]).filter(|&d| d != UNREACHABLE)
+    }
+
+    /// Hop distance from the new node to host node `v` in
+    /// [`IncrementalBetweenness::augment`]`(targets)`, read off the
+    /// snapshot: `1 + min_t d_host(t, v)`, since a shortest path leaves
+    /// `u` once and never returns. `None` if unreachable.
+    pub fn new_node_distance(&self, targets: &[NodeId], v: NodeId) -> Option<u32> {
+        targets
+            .iter()
+            .filter_map(|&t| self.host_distance(t, v))
+            .min()
+            .map(|d| d + 1)
     }
 
     /// Cumulative query counters.
@@ -250,13 +419,19 @@ where
         g
     }
 
-    /// Host distance from `s` to `v` out of the snapshot.
-    fn host_distance(&self, s: NodeId, v: NodeId) -> u64 {
-        self.trees
-            .get(s.index())
-            .and_then(Option::as_ref)
-            .and_then(|t| t.distance(v))
-            .map_or(INF, u64::from)
+    /// The targets [`IncrementalBetweenness::augment`] keeps, in order.
+    fn live_targets(&self, targets: &[NodeId]) -> Vec<NodeId> {
+        targets
+            .iter()
+            .copied()
+            .filter(|&t| self.host.contains_node(t))
+            .collect()
+    }
+
+    /// The host row `dist[s * n ..][..n]`.
+    fn dist_row(&self, s: NodeId) -> &[u32] {
+        let n = self.host.node_bound();
+        &self.dist[s.index() * n..(s.index() + 1) * n]
     }
 
     /// Marks the live host sources whose shortest-path structure the new
@@ -265,56 +440,140 @@ where
     pub fn affected_sources(&self, targets: &[NodeId]) -> Vec<bool> {
         let n = self.host.node_bound();
         let mut affected = vec![false; n];
-        let live_targets: Vec<NodeId> = targets
-            .iter()
-            .copied()
-            .filter(|&t| self.host.contains_node(t))
-            .collect();
+        let live_targets = self.live_targets(targets);
         if live_targets.is_empty() {
             return affected;
         }
-        // b[r] = min over targets t of d(t, r), from the cached trees.
+        let widen = |d: u32| if d == UNREACHABLE { INF } else { u64::from(d) };
+        // b[r] = min over targets t of d(t, r).
         let mut b = vec![INF; n];
         for &t in &live_targets {
-            if let Some(tree) = self.trees.get(t.index()).and_then(Option::as_ref) {
-                for (r, d) in tree.dist.iter().enumerate() {
-                    if let Some(d) = d {
-                        b[r] = b[r].min(u64::from(*d));
-                    }
-                }
+            for (br, &d) in b.iter_mut().zip(self.dist_row(t)) {
+                *br = (*br).min(widen(d));
             }
         }
         for &s in &self.sources {
+            let row = self.dist_row(s);
             // a(s) = min over targets t of d(s, t) = d(s, u) − 1.
             let a = live_targets
                 .iter()
-                .map(|&t| self.host_distance(s, t))
+                .map(|&t| widen(row[t.index()]))
                 .min()
                 .unwrap_or(INF);
             if a >= INF {
                 continue; // u unreachable from s: nothing can change
             }
-            let tree = self.trees[s.index()].as_ref().expect("live source tree");
-            let hit = (0..n).any(|r| {
-                if r == s.index() {
-                    return false;
-                }
-                let detour = a + 2 + b[r];
-                let direct = tree.dist[r].map_or(INF, u64::from);
-                detour <= direct && detour < INF
+            affected[s.index()] = row.iter().zip(&b).enumerate().any(|(r, (&d, &br))| {
+                let detour = a + 2 + br;
+                r != s.index() && detour <= widen(d) && detour < INF
             });
-            affected[s.index()] = hit;
         }
         affected
+    }
+
+    /// The forward half of the new-node kernel: `bfs` from host source
+    /// `s` over the host CSR with the new node (slot `n`) spliced in
+    /// behind `live_targets`, leaving `dist`, `σ`, the cone and the BFS
+    /// order in `scratch`. Stops early only once `u` is reached and a
+    /// whole layer holds no cone node, so with no targets it is a full
+    /// host BFS.
+    fn forward(&self, s: NodeId, live_targets: &[NodeId], scratch: &mut Scratch) {
+        let u = self.host.node_bound();
+        scratch.epoch = scratch.epoch.wrapping_add(1);
+        if scratch.epoch == 0 {
+            scratch.stamp.fill(0);
+            scratch.cone.fill(0);
+            scratch.epoch = 1;
+        }
+        scratch.order.clear();
+        scratch.stamp[s.index()] = scratch.epoch;
+        scratch.dist[s.index()] = 0;
+        scratch.sigma[s.index()] = 1.0;
+        scratch.delta[s.index()] = 0.0;
+        scratch.order.push(node_u32(s.index()));
+        let mut head = 0;
+        let mut layer_end = 1;
+        while let Some(&v) = scratch.order.get(head) {
+            if head == layer_end {
+                // The next layer is fully discovered.
+                if scratch.seen(u) && !scratch.cone_ahead {
+                    break;
+                }
+                scratch.cone_ahead = false;
+                layer_end = scratch.order.len();
+            }
+            head += 1;
+            let v = v as usize;
+            let (dv, sv) = (scratch.dist[v], scratch.sigma[v]);
+            if v == u {
+                for t in live_targets {
+                    scratch.relax(t.index(), dv, sv, true);
+                }
+                continue;
+            }
+            let cone = scratch.cone[v] == scratch.epoch;
+            for &w in self.out_adj.row(v) {
+                scratch.relax(w as usize, dv, sv, cone);
+            }
+            for _ in 0..scratch.channels[v] {
+                scratch.relax(u, dv, sv, true);
+            }
+        }
+    }
+
+    /// Dependency `δ_s(u)` of host source `s` on the new node: what
+    /// `node_dependencies` over `bfs(&self.augment(targets), s)` leaves in
+    /// `delta[u]`, computed by the same floating-point operations in the
+    /// same order (see the module docs).
+    fn new_node_dependency(
+        &self,
+        s: NodeId,
+        live_targets: &[NodeId],
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let n = self.host.node_bound();
+        let u = n;
+        self.forward(s, live_targets, scratch);
+        if !scratch.seen(u) {
+            return 0.0;
+        }
+        // Every successor of u sits on layer dist[u] + 1; once that layer
+        // has been swept, nothing can add to delta[u] any more. The break
+        // also keeps u itself, which has no host in-adjacency row, out.
+        let cut = scratch.dist[u] + 1;
+        let weights = &self.weight[s.index() * n..(s.index() + 1) * n];
+        for i in (0..scratch.order.len()).rev() {
+            let w = scratch.order[i] as usize;
+            let dw = scratch.dist[w];
+            if dw < cut {
+                break;
+            }
+            if scratch.cone[w] != scratch.epoch {
+                continue;
+            }
+            let coeff = (weights[w] + scratch.delta[w]) / scratch.sigma[w];
+            for &v in self.in_adj.row(w) {
+                let v = v as usize;
+                if scratch.cone[v] == scratch.epoch && scratch.dist[v] + 1 == dw {
+                    scratch.delta[v] += scratch.sigma[v] * coeff;
+                }
+            }
+            if scratch.dist[u] + 1 == dw {
+                for _ in 0..scratch.channels[w] {
+                    scratch.delta[u] += scratch.sigma[u] * coeff;
+                }
+            }
+        }
+        scratch.delta[u]
     }
 
     /// Per-source host dependency vectors, built on first use.
     fn contributions(&self) -> &Vec<Vec<f64>> {
         self.contributions.get_or_init(|| {
             let run_source = |&s: &NodeId| {
-                let tree = self.trees[s.index()].as_ref().expect("live source tree");
+                let tree = bfs(&self.host, s);
                 let mut delta = vec![0.0; self.host.node_bound()];
-                node_dependencies(&self.host, tree, &|a, b| self.weight(a, b), &mut delta);
+                node_dependencies(&self.host, &tree, &|a, b| self.weight(a, b), &mut delta);
                 // The from-scratch reduction never adds a source's own
                 // dependency; zero it so replaying the vector is exact.
                 delta[s.index()] = 0.0;
@@ -425,24 +684,9 @@ where
     }
 
     /// The new node's own betweenness score — the quantity every oracle
-    /// evaluation needs — computed from affected sources only.
-    ///
-    /// Builds the augmentation internally; see
-    /// [`IncrementalBetweenness::new_node_score_on`] to reuse a graph the
-    /// caller already built.
+    /// evaluation needs — computed from affected sources only, by the
+    /// new-node kernel on the snapshot (no augmented graph is built).
     pub fn new_node_score(&self, targets: &[NodeId]) -> (f64, QueryStats) {
-        let aug = self.augment(targets);
-        self.new_node_score_on(&aug, targets)
-    }
-
-    /// Like [`IncrementalBetweenness::new_node_score`], against a
-    /// caller-built augmented graph (which must equal
-    /// [`IncrementalBetweenness::augment`]`(targets)` — same host clone,
-    /// same node, same channel insertion order — for the bit-identity
-    /// guarantee to hold).
-    pub fn new_node_score_on(&self, aug: &DiGraph<N, E>, targets: &[NodeId]) -> (f64, QueryStats) {
-        debug_assert_eq!(aug.node_bound(), self.host.node_bound() + 1);
-        let u = self.new_node();
         let (affected, affected_count, fall_back) = self.plan(targets);
         if fall_back {
             let stats = QueryStats {
@@ -451,28 +695,25 @@ where
                 fell_back: true,
             };
             self.record(stats);
-            let scores = weighted_node_betweenness(aug, |s, r| self.weight(s, r));
-            return (scores.get(u.index()).copied().unwrap_or(0.0), stats);
+            let scores =
+                weighted_node_betweenness(&self.augment(targets), |s, r| self.weight(s, r));
+            return (scores[self.new_node().index()], stats);
         }
         // Unaffected sources contribute exactly +0.0 to the new node, and
         // the new node (as a source) contributes nothing to itself, so
-        // only affected host sources matter. Chunk boundaries follow the
-        // augmented source list to preserve the from-scratch grouping.
-        let aug_sources: Vec<NodeId> = aug.node_ids().collect();
-        let chunks: Vec<&[NodeId]> = aug_sources.chunks(SOURCE_CHUNK).collect();
+        // only affected host sources matter. The new node comes last in
+        // the augmented source order, so chunking the host sources keeps
+        // the from-scratch chunk boundaries; at most it drops a final
+        // chunk of `u` alone, whose +0.0 partial changes no bit.
+        let n = self.host.node_bound();
+        let live_targets = self.live_targets(targets);
+        let chunks: Vec<&[NodeId]> = self.sources.chunks(SOURCE_CHUNK).collect();
         let run_chunk = |chunk: &&[NodeId]| -> f64 {
             let mut partial = 0.0;
-            let mut delta = Vec::new();
-            for &s in *chunk {
-                if s == u || !affected[s.index()] {
-                    continue;
-                }
-                if delta.is_empty() {
-                    delta = vec![0.0; aug.node_bound()];
-                }
-                let tree = bfs(aug, s);
-                node_dependencies(aug, &tree, &|a, b| self.weight(a, b), &mut delta);
-                partial += delta[u.index()];
+            let mut scratch = None;
+            for &s in chunk.iter().filter(|s| affected[s.index()]) {
+                let scratch = scratch.get_or_insert_with(|| Scratch::new(n, &live_targets));
+                partial += self.new_node_dependency(s, &live_targets, scratch);
             }
             partial
         };

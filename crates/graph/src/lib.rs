@@ -17,8 +17,9 @@
 //!   the exact quantity in the paper's Eq. 2 (`p_e`) and the Section IV
 //!   revenue formula; plus a brute-force reference implementation.
 //! * [`incremental`] — delta-aware betweenness for `host + {u, channels(u)}`
-//!   augmentations: snapshots per-source BFS trees once and recomputes only
-//!   affected sources, bit-identical to the from-scratch path.
+//!   augmentations: snapshots host distances and CSR adjacency once and
+//!   recomputes only affected sources, bit-identical to the from-scratch
+//!   path.
 //! * [`edge_delta`] — the [`edge_delta::EdgeDelta`] data type (a batch of
 //!   channel edits between existing nodes), kept for the end-to-end
 //!   benchmark's `certify` probe. Deviation checks recompute from scratch.

@@ -261,3 +261,77 @@ fn pruning_skips_sources_on_ba_hosts() {
     assert_eq!(stats.recomputed_sources + stats.cached_sources, 60);
     check_against_full(&host, &targets, "BA pruning spot-check");
 }
+
+/// The new-node kernel against the from-scratch reference: Brandes over
+/// the augmented graph, read at the new node.
+fn check_kernel(engine: &IncrementalBetweenness, targets: &[NodeId], what: &str) {
+    let expect = weighted_node_betweenness(&engine.augment(targets), |s, r| engine.weight(s, r));
+    let (score, stats) = engine.new_node_score(targets);
+    assert_eq!(
+        score.to_bits(),
+        expect[engine.new_node().index()].to_bits(),
+        "{what}: kernel {score} vs Brandes {}",
+        expect[engine.new_node().index()]
+    );
+    assert_eq!(
+        stats.recomputed_sources + stats.cached_sources,
+        engine.host().node_count() + usize::from(stats.fell_back),
+        "{what}: every live source is either recomputed or cached"
+    );
+}
+
+/// The join benchmark's query mix on its first BA-200 host, under the
+/// oracle's own pair weight: greedy rounds score `prefix + [candidate]`
+/// for 1 to 8 targets, where the prefix is the greedy strategy so far.
+#[test]
+fn kernel_matches_brandes_on_the_join_query_mix() {
+    let mut rng = StdRng::seed_from_u64(0x101A_0000);
+    let host = generators::barabasi_albert(200, 2, &mut rng);
+    let oracle = UtilityOracle::new(host.clone(), vec![1.0; 200], UtilityParams::default());
+    let favg = oracle.params().favg;
+    let engine = IncrementalBetweenness::new(&host, |s, r| oracle.model().pair_rate(s, r) * favg);
+    // Greedy's four picks on this host, then lazy's and exhaustive's.
+    let picks = [2, 88, 16, 9, 108, 26, 11, 70].map(NodeId);
+    for k in 0..picks.len() {
+        let prefix = &picks[..k];
+        let candidates = (0..200).step_by(41).map(NodeId).chain([picks[k]]);
+        for c in candidates {
+            let targets: Vec<NodeId> = prefix.iter().copied().chain([c]).collect();
+            check_kernel(&engine, &targets, &format!("join mix {targets:?}"));
+        }
+    }
+}
+
+/// Parallel channels, dead and out-of-range targets, tombstoned host
+/// nodes, a disconnected component, the empty target list and the empty
+/// host (the full-Brandes fallback).
+#[test]
+fn kernel_matches_brandes_on_degenerate_queries() {
+    let mut rng = StdRng::seed_from_u64(0x4e1);
+    let mut host = generators::barabasi_albert(40, 2, &mut rng);
+    host.remove_node(NodeId(5));
+    host.remove_node(NodeId(17));
+    // A separate path component the new node may or may not bridge to.
+    let island = host.add_nodes(3);
+    host.add_undirected(island[0], island[1], ());
+    host.add_undirected(island[1], island[2], ());
+    let engine = IncrementalBetweenness::new(&host, pair_weight);
+    let cases: [&[usize]; 9] = [
+        &[],
+        &[3, 3],
+        &[0, 7, 7, 7],
+        &[5],
+        &[5, 8, 17, 12],
+        &[99, 1, 1000, 30],
+        &[41],
+        &[41, 2],
+        &[40, 0, 42, 0, 25],
+    ];
+    for case in cases {
+        let targets: Vec<NodeId> = case.iter().copied().map(NodeId).collect();
+        check_kernel(&engine, &targets, &format!("targets {case:?}"));
+    }
+    let empty = IncrementalBetweenness::new(&Topology::new(), pair_weight);
+    check_kernel(&empty, &[], "empty host");
+    check_kernel(&empty, &[NodeId(0)], "empty host, dead target");
+}

@@ -102,12 +102,25 @@ pub fn reset() {
     metrics::reset();
 }
 
+/// Serialises the unit tests that touch the process-global switch and
+/// span collector: the test harness runs tests on parallel threads, and
+/// one test's `drain()` or `set_enabled(false)` would otherwise race
+/// another's spans.
+#[cfg(test)]
+pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the state it guards is reset by
+    // every test that takes it, so the poison carries no information.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn switch_round_trips() {
+        let _guard = global_state_lock();
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);

@@ -24,7 +24,13 @@
 //! worker buffers `(index, value)` pairs locally; the caller's thread
 //! splices them back into order. Spawning is skipped entirely when the
 //! effective thread count is 1 or the input is tiny.
+//!
+//! A call made from inside a worker (say, an oracle query issued by a
+//! candidate-scoring `par_map`) runs inline on that worker: the outer
+//! level already keeps every thread busy, and spawning another level per
+//! item would only add threads and their stacks.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -33,6 +39,12 @@ static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Below this many items, spawning threads costs more than it saves.
 const PAR_THRESHOLD: usize = 4;
+
+thread_local! {
+    /// Set on the threads [`par_map_range`] spawns, so nested calls from
+    /// them run inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Effective worker count for the next parallel call.
 ///
@@ -75,14 +87,25 @@ where
     par_map_range(items.len(), |i| f(&items[i]))
 }
 
-/// Parallel `(0..n).map(f).collect()`, results in input order.
+/// Parallel `(0..n).map(f).collect()`, results in input order. Runs
+/// sequentially on the calling thread when that thread is itself a
+/// worker of an enclosing call.
 pub fn par_map_range<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = max_threads().min(n);
-    if threads <= 1 || n < PAR_THRESHOLD {
+    map_range_on(max_threads(), n, f)
+}
+
+/// [`par_map_range`] with an explicit worker count.
+fn map_range_on<R, F>(max_threads: usize, n: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let threads = max_threads.min(n);
+    if threads <= 1 || n < PAR_THRESHOLD || IN_WORKER.with(Cell::get) {
         return (0..n).map(f).collect();
     }
 
@@ -101,6 +124,7 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
+                IN_WORKER.with(|w| w.set(true));
                 let mut worker_span = if observe {
                     Some(lcg_obs::span::span("parallel/worker"))
                 } else {
@@ -188,6 +212,29 @@ mod tests {
     fn tiny_inputs_stay_sequential() {
         assert_eq!(par_map_range(0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_range(2, |i| i), vec![0, 1]);
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_calling_worker() {
+        let caller = std::thread::current().id();
+        let inner = |i: usize| {
+            let worker = std::thread::current().id();
+            let nested = map_range_on(2, 6, |j| (i * 10 + j, std::thread::current().id()));
+            (worker, nested)
+        };
+        let outer = map_range_on(2, 8, inner);
+        assert!(
+            outer.iter().all(|(worker, _)| *worker != caller),
+            "outer items run on spawned workers"
+        );
+        for (i, (worker, nested)) in outer.iter().enumerate() {
+            let values: Vec<usize> = nested.iter().map(|(v, _)| *v).collect();
+            assert_eq!(values, (0..6).map(|j| i * 10 + j).collect::<Vec<_>>());
+            assert!(
+                nested.iter().all(|(_, t)| t == worker),
+                "nested call left its worker thread"
+            );
+        }
     }
 
     #[test]
