@@ -80,20 +80,28 @@ pub fn rank_factors<N, E>(g: &DiGraph<N, E>, s: f64, variant: ZipfVariant) -> Ve
             j += 1;
         }
         // Degree class occupies ranks i+1 ..= j (1-based), r0 = i+1.
-        let r0 = i + 1;
-        let count = j - i;
-        let terms = match variant {
-            ZipfVariant::Averaged => count,
-            ZipfVariant::Literal => count + 1,
-        };
-        let sum: f64 = (r0..r0 + terms).map(|k| (k as f64).powf(-s)).sum();
-        let factor = sum / count as f64;
+        let factor = class_factor(i + 1, j - i, s, variant);
         for &v in &nodes[i..j] {
             rf[v.index()] = factor;
         }
         i = j;
     }
     rf
+}
+
+/// Rank factor shared by the `count` members of a degree class whose
+/// best rank is `r0` (1-based), as [`rank_factors`] assigns it.
+///
+/// Depends only on `(r0, count)`, so callers that rank by degree counts
+/// alone (the Nash checker's deviation kernel) can tabulate it and stay
+/// bit-identical to [`rank_factors`].
+pub fn class_factor(r0: usize, count: usize, s: f64, variant: ZipfVariant) -> f64 {
+    let terms = match variant {
+        ZipfVariant::Averaged => count,
+        ZipfVariant::Literal => count + 1,
+    };
+    let sum: f64 = (r0..r0 + terms).map(|k| (k as f64).powf(-s)).sum();
+    sum / count as f64
 }
 
 /// The probability vector `p_trans(sender, ·)` over the live nodes of the

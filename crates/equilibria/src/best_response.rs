@@ -27,8 +27,8 @@ pub struct DynamicsReport {
     /// (see [`NashReport::bound_pruned`](crate::nash::NashReport)).
     #[serde(default)]
     pub bound_pruned: u64,
-    /// Brandes source passes paid for cache-miss utility evaluations:
-    /// every live player per miss.
+    /// BFS passes paid for cache-miss utility evaluations: every live
+    /// player per miss.
     #[serde(default)]
     pub sources_recomputed: u64,
     /// Utility lookups answered from the shared deviation cache. Rounds

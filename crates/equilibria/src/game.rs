@@ -17,9 +17,11 @@
 //! the rank factors after every candidate deviation, and so do we.
 //!
 //! [`Game::utility`] evaluates a state from scratch (one Brandes pass over
-//! every live player). It is the only evaluation path of the Nash checker
-//! and of best-response dynamics, which memoise it per state in
-//! [`DeviationCache`](crate::nash::DeviationCache).
+//! every live player) and is the reference every fast path is tested
+//! against. The Nash checker and best-response dynamics evaluate candidate
+//! deviations with the bit-identical
+//! [`DeviationKernel`](crate::kernel::DeviationKernel) instead, memoised
+//! per state in [`DeviationCache`](crate::nash::DeviationCache).
 
 use lcg_core::rates::TransactionModel;
 use lcg_core::utility::{HopCharging, Topology};

@@ -14,8 +14,10 @@
 //!   remove-owned × add-new combination per player (exponential — the
 //!   NP-hardness of the general problem is Thm 2 of \[19\]), pruned by an
 //!   admissible utility upper bound (verdict-preserving, opt-out via
-//!   [`nash::DeviationSearch`]) and evaluated from scratch behind a
-//!   utility memo.
+//!   [`nash::DeviationSearch`]) and evaluated behind a utility memo.
+//! * [`kernel`] — the checker's per-player evaluator: one deviation's
+//!   utility on flat buffers, bit-identical to [`Game::utility`] on the
+//!   deviated game.
 //! * [`theorems`] — the closed-form predicates of Thm 6 (hub-path bound),
 //!   Thm 7/8/9 (star), and Thm 11 (circle crossover estimates), so
 //!   experiments can compare prediction against mechanized ground truth.
@@ -42,6 +44,7 @@
 
 pub mod best_response;
 pub mod game;
+pub mod kernel;
 pub mod nash;
 pub mod pairwise;
 pub mod theorems;

@@ -25,16 +25,20 @@
 //!   [`NashReport::bound_pruned`]; since the bound is admissible the
 //!   surviving incumbent — and hence the verdict — is identical to the
 //!   exhaustive walk's.
-//! * **Memoised from-scratch evaluation.** Every utility the walk needs
-//!   goes through the [`DeviationCache`]; a miss runs [`Game::utility`],
-//!   one Brandes pass over every live player, counted in
-//!   [`NashReport::sources_recomputed`]. No incremental engine sits
-//!   behind it: on the §IV games (at most about 25 nodes) one player's
-//!   rewiring reshapes almost every shortest-path tree, so
-//!   affected-source pruning saved no work (DESIGN.md, "Scaling the
+//! * **Memoised single-player evaluation.** Every utility the walk needs
+//!   goes through the [`DeviationCache`]; a miss runs the player's
+//!   [`DeviationKernel`], which splices the candidate into a flat copy of
+//!   the base adjacency, ranks each sender's Zipf row from degree counts
+//!   and accumulates only the player's own Brandes dependency: one BFS per
+//!   live player, counted in [`NashReport::sources_recomputed`], with the
+//!   same utility bits as [`Game::utility`] on the deviated game. No
+//!   incremental engine sits behind it: on the §IV games (at most about 25
+//!   nodes) one player's rewiring reshapes almost every shortest-path tree,
+//!   so affected-source pruning saved no work (DESIGN.md, "Scaling the
 //!   deviation search").
 
 use crate::game::Game;
+use crate::kernel::DeviationKernel;
 use lcg_core::delta_eval::DeltaRevenueOracle;
 use lcg_core::eval_cache::EvalCacheStats;
 use lcg_core::zipf::{generalized_harmonic, ZipfVariant};
@@ -80,9 +84,9 @@ pub struct NashReport {
     /// `explored + bound_pruned` equals the exhaustive candidate count.
     #[serde(default)]
     pub bound_pruned: u64,
-    /// Brandes source passes (BFS + dependency kernel) paid for
-    /// cache-miss utility evaluations across all players: every live
-    /// player per miss.
+    /// BFS passes paid for cache-miss utility evaluations across all
+    /// players: every live player per miss (each other player as a Brandes
+    /// source, the deviating player for its fees).
     #[serde(default)]
     pub sources_recomputed: u64,
     /// Utility lookups answered from the deviation cache (non-zero when
@@ -114,17 +118,54 @@ impl NashReport {
 /// [`GameParams`](crate::game::GameParams); sharing it across different
 /// games returns stale utilities.
 ///
-/// Keys are `(player id, canonical channel list)` state fingerprints.
+/// Keys are packed `(player id, channel set)` state fingerprints (see
+/// [`state_key`]).
 #[derive(Debug)]
 pub struct DeviationCache {
-    map: Mutex<HashMap<StateKey, f64>>,
+    map: Mutex<HashMap<Box<[u64]>, f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
     capacity: usize,
 }
 
-/// `(player id, canonical channel list)` — a game-state fingerprint.
-type StateKey = (u32, Vec<(u32, u32, u32)>);
+/// The deviation cache's key for `player` in `game`: the player id in word
+/// 0, then two bits per unordered node pair `{a < b}` at pair index
+/// `b(b − 1)/2 + a` — 0 for no channel, 1 if `a` owns it, 2 if `b` does, 3
+/// if nobody does — with trailing zero words trimmed. Two states over the
+/// same player set get the same key iff their
+/// [`Game::canonical_channels`] are equal, and a key is a few words where
+/// the channel list would be a dozen triples.
+pub fn state_key(game: &Game, player: NodeId) -> Vec<u64> {
+    let mut key = vec![player.index() as u64];
+    for (a, b, owner) in game.canonical_channels() {
+        let code = match owner {
+            o if o == a => 1,
+            o if o == b => 2,
+            _ => 3,
+        };
+        set_channel(&mut key, a as usize, b as usize, code);
+    }
+    trim_key(&mut key);
+    key
+}
+
+/// Sets the two bits of the pair `{a < b}` in `key` to `code`.
+pub(crate) fn set_channel(key: &mut Vec<u64>, a: usize, b: usize, code: u64) {
+    let bit = 2 * (b * (b - 1) / 2 + a);
+    let word = 1 + bit / 64;
+    if key.len() <= word {
+        key.resize(word + 1, 0);
+    }
+    let shift = bit % 64;
+    key[word] = (key[word] & !(3 << shift)) | (code << shift);
+}
+
+/// Drops trailing zero words, so equal channel sets give equal keys.
+pub(crate) fn trim_key(key: &mut Vec<u64>) {
+    while key.len() > 1 && key.last() == Some(&0) {
+        key.pop();
+    }
+}
 
 impl Default for DeviationCache {
     fn default() -> Self {
@@ -148,20 +189,22 @@ impl DeviationCache {
         }
     }
 
-    /// `player`'s utility in `game`, memoized on the state fingerprint.
+    /// `player`'s utility in `game`, memoized on the state fingerprint. A
+    /// miss runs [`Game::utility`].
     pub fn utility_of(&self, game: &Game, player: NodeId) -> f64 {
-        self.lookup(game, player).0
+        self.lookup(&state_key(game, player), || game.utility(player))
+            .0
     }
 
-    /// [`DeviationCache::utility_of`], also saying whether the lookup
-    /// missed and ran [`Game::utility`].
-    fn lookup(&self, game: &Game, player: NodeId) -> (f64, bool) {
-        let key = (player.index() as u32, game.canonical_channels());
+    /// The value memoised under `key`, or `compute()` stored under it on a
+    /// miss; also says whether the lookup missed. `key` is copied only
+    /// when it is stored.
+    fn lookup(&self, key: &[u64], compute: impl FnOnce() -> f64) -> (f64, bool) {
         let found = self
             .map
             .lock()
             .expect("deviation cache poisoned")
-            .get(&key)
+            .get(key)
             .copied();
         if let Some(value) = found {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -174,10 +217,10 @@ impl DeviationCache {
         if lcg_obs::enabled() {
             lcg_obs::counter!("equilibria/deviation_cache/misses").inc();
         }
-        let value = game.utility(player);
+        let value = compute();
         let mut map = self.map.lock().expect("deviation cache poisoned");
-        if map.len() < self.capacity || map.contains_key(&key) {
-            map.insert(key, value);
+        if map.len() < self.capacity || map.contains_key(key) {
+            map.insert(key.into(), value);
         }
         (value, true)
     }
@@ -244,8 +287,7 @@ pub struct SearchStats {
     pub explored: u64,
     /// Candidates skipped by the class-level upper bound.
     pub bound_pruned: u64,
-    /// BFS + dependency-kernel passes paid on cache misses: every live
-    /// player per miss.
+    /// BFS passes paid on cache misses: every live player per miss.
     pub sources_recomputed: u64,
 }
 
@@ -260,7 +302,7 @@ impl SearchStats {
 /// A [`DeltaRevenueOracle`] under `game`'s revenue weight `b`.
 ///
 /// Exists only for the `certify` probe of the end-to-end benchmark; the
-/// search itself evaluates through [`Game::utility`].
+/// search itself evaluates through [`DeviationKernel`].
 #[derive(Debug)]
 pub struct EvalContext {
     oracle: DeltaRevenueOracle,
@@ -361,41 +403,40 @@ fn prune_threshold(before: f64, best: &Option<Deviation>) -> Option<f64> {
 /// `a · units(1)` (every receiver is at distance ≥ 1; unreachable
 /// receivers only push fees to `+∞`). Only valid for the
 /// [`ZipfVariant::Averaged`] reading with non-negative `a`, `b`, `l`;
-/// otherwise the bound reports itself disabled and nothing is pruned.
+/// otherwise there is no bound and nothing is pruned.
+///
+/// The rivals' largest degrees depend only on the sender and on whether
+/// the class adds any channel, so their suffix counts are tabulated once
+/// per player; a class then costs one lookup per (sender, receiver) pair,
+/// `O(n + m)`, and every rank — hence every float operation — is the one
+/// a full scan over the nodes would give.
 struct UtilityBound {
-    enabled: bool,
     player: usize,
     b: f64,
     link_cost: f64,
-    zipf_s: f64,
     fee_floor: f64,
-    h_den: f64,
+    /// `rank_mass[r] = r^(−s) / h_den`: the smallest probability a
+    /// receiver of pessimistic rank `r` can carry.
+    rank_mass: Vec<f64>,
     deg: Vec<i64>,
-    live: Vec<bool>,
     adj: Vec<Vec<bool>>,
+    /// Base neighbours of every node, ascending.
+    neighbours: Vec<Vec<NodeId>>,
     addable: Vec<bool>,
     senders: Vec<NodeId>,
+    /// `rivals[(s · 2 + gain) · stride + d]`: live nodes other than `s`
+    /// and the player whose largest degree in `G' \ {s}` is at least `d`,
+    /// where `gain` says whether the class adds any channel.
+    rivals: Vec<usize>,
+    stride: usize,
+    /// The class's remove-set as a mask (scratch).
+    removed: Vec<bool>,
 }
 
 impl UtilityBound {
-    fn disabled() -> Self {
-        UtilityBound {
-            enabled: false,
-            player: 0,
-            b: 0.0,
-            link_cost: 0.0,
-            zipf_s: 0.0,
-            fee_floor: 0.0,
-            h_den: 1.0,
-            deg: Vec::new(),
-            live: Vec::new(),
-            adj: Vec::new(),
-            addable: Vec::new(),
-            senders: Vec::new(),
-        }
-    }
-
-    fn new(game: &Game, player: NodeId) -> Self {
+    /// The bound for `player`'s classes, or `None` where it is not
+    /// admissible.
+    fn new(game: &Game, player: NodeId) -> Option<Self> {
         let graph = game.graph();
         let params = game.params();
         let n_live = graph.node_count();
@@ -410,16 +451,16 @@ impl UtilityBound {
             && params.zipf_variant == ZipfVariant::Averaged
             && n_live >= 2;
         if !enabled {
-            return UtilityBound::disabled();
+            return None;
         }
         let bound = graph.node_bound();
-        let mut live = vec![false; bound];
         let mut deg = vec![0i64; bound];
         let mut adj = vec![vec![false; bound]; bound];
+        let mut neighbours = vec![Vec::new(); bound];
         for v in graph.node_ids() {
-            live[v.index()] = true;
             deg[v.index()] = graph.in_degree(v) as i64;
-            for w in graph.neighbors(v) {
+            neighbours[v.index()] = graph.neighbors(v);
+            for &w in &neighbours[v.index()] {
                 adj[v.index()][w.index()] = true;
             }
         }
@@ -429,27 +470,57 @@ impl UtilityBound {
                 addable[v.index()] = true;
             }
         }
-        UtilityBound {
-            enabled: true,
+        let h_den = generalized_harmonic(n_live - 1, params.zipf_s) * (1.0 + BOUND_SLACK);
+        let rank_mass = (0..=n_live)
+            .map(|r| (r as f64).powf(-params.zipf_s) / h_den)
+            .collect();
+        let mut this = UtilityBound {
             player: player.index(),
             b: params.b,
             link_cost: params.link_cost,
-            zipf_s: params.zipf_s,
             fee_floor: params.a * params.hop_charging.units(1) * (1.0 - BOUND_SLACK),
-            h_den: generalized_harmonic(n_live - 1, params.zipf_s) * (1.0 + BOUND_SLACK),
+            rank_mass,
             deg,
-            live,
             adj,
+            neighbours,
             addable,
             senders: graph.node_ids().collect(),
+            // Degrees stay below `bound`; a rival gains at most one.
+            rivals: vec![0; bound * 2 * (bound + 2)],
+            stride: bound + 2,
+            removed: vec![false; bound],
+        };
+        for &s in &this.senders {
+            for gain in [false, true] {
+                let row = (s.index() * 2 + usize::from(gain)) * this.stride;
+                for &v in &this.senders {
+                    if v != s && v != player {
+                        let d = this.rival_degree(v.index(), s.index(), gain) as usize;
+                        this.rivals[row + d] += 1;
+                    }
+                }
+                for d in (0..this.stride - 1).rev() {
+                    this.rivals[row + d] += this.rivals[row + d + 1];
+                }
+            }
         }
+        Some(this)
+    }
+
+    /// Largest degree a rival `v` can reach in the deviated `G' \ {s}`:
+    /// it may gain one channel from the player if the class adds any.
+    fn rival_degree(&self, v: usize, s: usize, gain: bool) -> i64 {
+        self.deg[v] - i64::from(self.adj[v][s]) + i64::from(gain && self.addable[v])
     }
 
     /// Upper bound over every deviation that removes exactly `removed` and
     /// adds channels to any `k` distinct addable targets.
-    fn upper_bound(&self, removed: &[NodeId], k: usize, owned_len: usize) -> f64 {
+    fn upper_bound(&mut self, removed: &[NodeId], k: usize, owned_len: usize) -> f64 {
         let p = self.player;
-        let bound = self.live.len();
+        for &r in removed {
+            self.removed[r.index()] = true;
+        }
+        let gain = k >= 1;
         let deg_p_after = self.deg[p] - removed.len() as i64 + k as i64;
         let mut cap = 0.0f64;
         for &s in &self.senders {
@@ -457,43 +528,34 @@ impl UtilityBound {
             if si == p {
                 continue;
             }
-            // Largest degree `v` can reach in the deviated `G' \ {s}`:
-            // rivals may gain one channel from `p` (if addable), the
-            // player's own degree is pinned by the class.
-            let dmax = |vi: usize| -> i64 {
-                if vi == p {
-                    let kept_to_s = self.adj[p][si] && !removed.contains(&s);
-                    deg_p_after - i64::from(kept_to_s)
-                } else {
-                    self.deg[vi] - i64::from(self.adj[vi][si])
-                        + i64::from(k >= 1 && self.addable[vi])
-                }
-            };
-            // Worst (largest) rank a receiver of guaranteed min-degree
-            // `dmin` can fall to among the live nodes of `G' \ {s}`.
-            let rank_of = |excluded: usize, dmin: i64| -> usize {
-                1 + (0..bound)
-                    .filter(|&vi| self.live[vi] && vi != excluded && vi != si)
-                    .filter(|&vi| dmax(vi) >= dmin)
-                    .count()
-            };
+            let row = (si * 2 + usize::from(gain)) * self.stride;
+            let rivals = &self.rivals[row..row + self.stride];
+            let rivals_at_least = |d: i64| rivals.get(d.max(0) as usize).copied().unwrap_or(0);
+            // The player's own degree in `G' \ {s}` is pinned by the class.
+            let kept_to_s = self.adj[p][si] && !self.removed[si];
+            let deg_p = deg_p_after - i64::from(kept_to_s);
             let mut mass = 1.0 + BOUND_SLACK;
-            for ri in 0..bound {
-                // Base neighbors of `s` other than `p` stay adjacent in
-                // every deviation, so their pairs never pay `p`.
-                if ri == p || !self.adj[ri][si] {
+            // Base neighbors of `s` other than `p` stay adjacent in every
+            // deviation, so their pairs never pay `p`. Each receiver of
+            // guaranteed min-degree `dmin` can fall to the worst (largest)
+            // rank among the live nodes of `G' \ {s}`.
+            for &r in &self.neighbours[si] {
+                let ri = r.index();
+                if ri == p {
                     continue;
                 }
-                let dmin = self.deg[ri]
-                    - i64::from(self.adj[ri][si])
-                    - i64::from(removed.contains(&NodeId(ri)));
-                mass -= (rank_of(ri, dmin) as f64).powf(-self.zipf_s) / self.h_den;
+                let dmin = self.deg[ri] - 1 - i64::from(self.removed[ri]);
+                let others = rivals_at_least(dmin) + usize::from(deg_p >= dmin)
+                    - usize::from(self.rival_degree(ri, si, gain) >= dmin);
+                mass -= self.rank_mass[1 + others];
             }
             // The pair (s, p) is excluded from p's revenue regardless of
             // adjacency.
-            let dmin_p = deg_p_after - 1;
-            mass -= (rank_of(p, dmin_p) as f64).powf(-self.zipf_s) / self.h_den;
+            mass -= self.rank_mass[1 + rivals_at_least(deg_p_after - 1)];
             cap += mass.max(0.0);
+        }
+        for &r in removed {
+            self.removed[r.index()] = false;
         }
         let links = (owned_len - removed.len() + k) as f64;
         self.b * cap * (1.0 + BOUND_SLACK) + BOUND_SLACK - self.fee_floor - self.link_cost * links
@@ -520,17 +582,20 @@ pub(crate) fn search_player(
 
     let n_live = game.graph().node_count() as u64;
     let mut stats = SearchStats::default();
-    // Utility lookup through the cache; a miss pays one Brandes pass per
-    // live player.
-    let evaluate = |state: &Game, stats: &mut SearchStats| -> f64 {
-        let (value, computed) = cache.lookup(state, player);
+    // Utility lookup through the cache, keyed without building the
+    // deviated game; a miss runs the kernel, one BFS per live player.
+    let mut kernel = DeviationKernel::new(game, player);
+    let mut key = Vec::new();
+    let mut evaluate = |remove: &[NodeId], add: &[NodeId], stats: &mut SearchStats| -> f64 {
+        kernel.write_state_key(remove, add, &mut key);
+        let (value, computed) = cache.lookup(&key, || kernel.utility(remove, add));
         if computed {
             stats.sources_recomputed += n_live;
         }
         value
     };
 
-    let before = evaluate(game, &mut stats);
+    let before = evaluate(&[], &[], &mut stats);
     let owned = game.owned_channels(player);
     let neighbors = game.graph().neighbors(player);
     let addable: Vec<NodeId> = game
@@ -540,17 +605,16 @@ pub(crate) fn search_player(
         .collect();
     assert!(owned.len() < 64, "subset enumeration bounded to 63 items");
 
-    let bound = if search.bound_pruning {
-        UtilityBound::new(game, player)
-    } else {
-        UtilityBound::disabled()
-    };
+    let mut bound = search
+        .bound_pruning
+        .then(|| UtilityBound::new(game, player))
+        .flatten();
 
     let mut best: Option<Deviation> = None;
     for r_mask in 0..(1u64 << owned.len()) {
         let remove = gather(&owned, r_mask);
         for k in 0..=addable.len() {
-            if bound.enabled {
+            if let Some(bound) = bound.as_mut() {
                 let class = binomial(addable.len(), k) - u64::from(r_mask == 0 && k == 0);
                 if class > 0 {
                     if let Some(threshold) = prune_threshold(before, &best) {
@@ -567,7 +631,7 @@ pub(crate) fn search_player(
                 }
                 stats.explored += 1;
                 let add = gather(&addable, a_mask);
-                let after = evaluate(&game.deviate(player, &remove, &add), &mut stats);
+                let after = evaluate(&remove, &add, &mut stats);
                 let improves = if before == f64::NEG_INFINITY {
                     after > f64::NEG_INFINITY
                 } else {
@@ -848,6 +912,25 @@ mod tests {
         for dev in &report.deviations {
             assert!(dev.gain() > 0.0 || dev.utility_before == f64::NEG_INFINITY);
         }
+    }
+
+    #[test]
+    fn state_keys_tell_owners_apart_and_ignore_channel_order() {
+        let params = GameParams::default();
+        let star = Game::star(3, params);
+        let mut reversed = Game::new(4, params);
+        for leaf in (1..=3).rev() {
+            reversed.add_channel(NodeId(leaf), NodeId(0));
+        }
+        let mut hub_owned = Game::new(4, params);
+        for leaf in 1..=3 {
+            hub_owned.add_channel(NodeId(0), NodeId(leaf));
+        }
+        let key = state_key(&star, NodeId(0));
+        assert_eq!(key, state_key(&reversed, NodeId(0)));
+        assert_ne!(key, state_key(&hub_owned, NodeId(0)));
+        assert_ne!(key, state_key(&star, NodeId(1)));
+        assert_eq!(state_key(&Game::new(4, params), NodeId(2)), vec![2]);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! Thm 7–11 parameter grid, the bound-pruned search must return
 //! the same verdict and the same (bit-identical) deviations as the
 //! exhaustive reference walk, and its counters must account for every
-//! candidate the reference evaluates. Both evaluate from scratch, so their
-//! Brandes work is exactly one pass per live player per cache miss.
+//! candidate the reference evaluates. Both evaluate every cache miss with
+//! the deviation kernel, so their work is exactly one BFS per live player
+//! per miss.
 
 use lcg_equilibria::game::{Game, GameParams};
 use lcg_equilibria::nash::{Deviation, DeviationSearch, NashAnalyzer};
+use lcg_graph::NodeId;
 
 fn grid() -> Vec<(&'static str, Game)> {
     let mut games = Vec::new();
@@ -175,6 +177,45 @@ fn from_scratch_evaluation_pays_one_pass_per_live_player_per_miss() {
             );
         }
     }
+}
+
+/// `Σ_p (2^owned(p) · 2^addable(p) − 1)`: every non-empty deviation of
+/// every player, the count the exhaustive walk evaluates.
+fn exhaustive_candidates(game: &Game) -> u64 {
+    let graph = game.graph();
+    graph
+        .node_ids()
+        .map(|p: NodeId| {
+            let addable = graph.node_count() - 1 - graph.neighbors(p).len();
+            (1u64 << (game.owned_channels(p).len() + addable)) - 1
+        })
+        .sum()
+}
+
+#[test]
+fn certify_games_account_for_every_candidate_at_any_thread_count() {
+    // The end-to-end benchmark's certify games: star-20 is too large for
+    // the exhaustive walk, so its candidate count is checked against the
+    // closed form instead.
+    let games = [
+        ("star-20", Game::star(20, stable_star_params())),
+        ("path-12", Game::path(12, GameParams::default())),
+        ("circle-12", Game::circle(12, GameParams::default())),
+    ];
+    for (label, game) in games {
+        lcg_parallel::set_max_threads(1);
+        let sequential = NashAnalyzer::new().check(&game);
+        lcg_parallel::set_max_threads(2);
+        let parallel = NashAnalyzer::new().check(&game);
+        assert_eq!(
+            sequential.explored + sequential.bound_pruned,
+            exhaustive_candidates(&game),
+            "{label}: explored + bound_pruned"
+        );
+        assert_eq!(sequential, parallel, "{label}: 1 vs 2 workers");
+        assert_same_deviations(label, &parallel.deviations, &sequential.deviations);
+    }
+    lcg_parallel::set_max_threads(0);
 }
 
 fn stable_star_params() -> GameParams {

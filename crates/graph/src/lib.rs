@@ -22,7 +22,8 @@
 //!   path.
 //! * [`edge_delta`] — the [`edge_delta::EdgeDelta`] data type (a batch of
 //!   channel edits between existing nodes), kept for the end-to-end
-//!   benchmark's `certify` probe. Deviation checks recompute from scratch.
+//!   benchmark's `certify` probe. Deviation checks evaluate with
+//!   `lcg-equilibria`'s own single-player kernel.
 //! * [`metrics`] — clustering, path lengths and degree statistics for
 //!   reporting on emergent topologies.
 //! * [`generators`] — star/path/circle/complete topologies of §IV and the
