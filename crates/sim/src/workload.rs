@@ -6,6 +6,21 @@
 //! size distribution. Arrivals form a Poisson process, realized here by
 //! exponential inter-arrival times at the aggregate rate
 //! `N = Σ_u N_u`.
+//!
+//! # Sampling
+//!
+//! Senders and receivers are drawn by one reference rule: `pick` is
+//! uniform on `[0, total)`, then a scan walks the positive weights in
+//! index order, returning the first with `pick < w` and otherwise
+//! subtracting it (`pick -= w`). [`WorkloadBuilder::generate`] reaches the
+//! same answer in sub-linear time: it binary-searches the running sums
+//! kept at every 16th index, folds on through at most one 16-entry block,
+//! and accepts the hit only when `pick` lies more than `4(n + 1)·ε·total`
+//! from both running sums around it. The scan and the running sums each
+//! drift at most `n·ε/2·total` from exact arithmetic, so outside that
+//! margin they must agree; inside it the scan decides. Every stream is
+//! therefore identical, draw for draw, to
+//! [`WorkloadBuilder::generate_reference`].
 
 use crate::fees::TxSizeDistribution;
 use lcg_graph::NodeId;
@@ -25,14 +40,124 @@ pub struct Tx {
     pub size: f64,
 }
 
-/// A per-sender receiver distribution: `weights[s][r]` is proportional to
+/// Entries per block of a running-sum index (see [`block_starts`]).
+const BLOCK: usize = 16;
+
+/// Guard margin for a running-sum search over `len` non-negative terms
+/// that sum to `total`.
+///
+/// The scan and the running sums each add at most `len` roundings of at
+/// most `ε/2·total`, so they disagree only within `len·ε·total` of a
+/// boundary. The margin is four times that (with `len + 1`), which also
+/// covers the rounding of the guard's own subtractions.
+fn margin(len: usize, total: f64) -> f64 {
+    4.0 * (len + 1) as f64 * f64::EPSILON * total
+}
+
+/// Appends the running sum of `values` (index `skip` left out, summed in
+/// index order from `+0.0`) before every `BLOCK`-th index to `starts`, and
+/// returns the whole sum.
+///
+/// `Iterator::sum` may start at `-0.0` instead; the two differ only for a
+/// zero total, which is never drawn from.
+fn block_starts(values: &[f64], skip: Option<usize>, starts: &mut Vec<f64>) -> f64 {
+    let mut acc = 0.0;
+    for (j, &w) in values.iter().enumerate() {
+        if j % BLOCK == 0 {
+            starts.push(acc);
+        }
+        if Some(j) != skip {
+            acc += w;
+        }
+    }
+    acc
+}
+
+/// The guarded search: finds the block of `starts` holding `pick`, folds
+/// on through at most one block to the entry `j` with running sums
+/// `lo <= pick < hi`, and returns `j` only if `pick` lies more than `eps`
+/// from both, where [`scan`] must agree. `None` leaves the draw to the scan.
+fn search(
+    values: &[f64],
+    skip: Option<usize>,
+    starts: &[f64],
+    pick: f64,
+    eps: f64,
+) -> Option<usize> {
+    // A non-empty `values` has `starts[0] == 0.0 <= pick`.
+    let b = starts.partition_point(|&p| p <= pick).checked_sub(1)?;
+    let mut lo = starts[b];
+    for (j, &w) in values.iter().enumerate().skip(b * BLOCK).take(BLOCK) {
+        if Some(j) == skip {
+            continue;
+        }
+        let hi = lo + w;
+        if pick < hi {
+            return (pick - lo > eps && hi - pick > eps).then_some(j);
+        }
+        lo = hi;
+    }
+    None
+}
+
+/// [`search`], or [`scan`] when the guard fails; counts the scan's draws
+/// in `fallbacks`.
+fn draw(
+    values: &[f64],
+    skip: Option<usize>,
+    starts: &[f64],
+    pick: f64,
+    eps: f64,
+    fallbacks: &mut usize,
+) -> Option<usize> {
+    search(values, skip, starts, pick, eps).or_else(|| {
+        *fallbacks += 1;
+        scan(values, skip, pick)
+    })
+}
+
+/// The reference draw: walks `values` in order, skipping index `skip` and
+/// zero entries, and returns the first entry with `pick < w`, subtracting
+/// each passed entry from `pick`. If rounding carries `pick` past the end,
+/// returns the last positive entry; `None` if there is none.
+fn scan(values: &[f64], skip: Option<usize>, mut pick: f64) -> Option<usize> {
+    for (j, &w) in values.iter().enumerate() {
+        if Some(j) == skip || w == 0.0 {
+            continue;
+        }
+        if pick < w {
+            return Some(j);
+        }
+        pick -= w;
+    }
+    (0..values.len())
+        .rev()
+        .find(|&j| Some(j) != skip && values[j] > 0.0)
+}
+
+/// A per-sender receiver distribution: `weight(s, r)` is proportional to
 /// the probability that `s` transacts with `r` (diagonal entries ignored).
 ///
 /// Rows need not be normalized; the sampler normalizes on the fly. This is
 /// the bridge between `lcg-core`'s analytic `p_trans` and the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PairWeights {
-    weights: Vec<Vec<f64>>,
+    n: usize,
+    /// The stored matrix; `None` for [`PairWeights::uniform`], whose
+    /// off-diagonal weights are all 1.
+    dense: Option<Dense>,
+}
+
+/// A stored weight matrix with the sums its sampler searches.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Dense {
+    /// Row-major `n × n` matrix: `weights[s * n + r]`.
+    weights: Vec<f64>,
+    /// Off-diagonal total of each row, summed in column order.
+    totals: Vec<f64>,
+    /// Receiver index: each row's [`block_starts`], `n.div_ceil(BLOCK)`
+    /// per row.
+    blocks: Vec<f64>,
 }
 
 impl PairWeights {
@@ -40,61 +165,84 @@ impl PairWeights {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not square, or any weight is negative/NaN.
+    /// Panics if the matrix is not square, any weight is negative, NaN or
+    /// infinite, or a row's weights sum to infinity.
     pub fn new(weights: Vec<Vec<f64>>) -> Self {
         let n = weights.len();
+        let mut flat = Vec::with_capacity(n * n);
         for (i, row) in weights.iter().enumerate() {
             assert_eq!(row.len(), n, "row {i} has length {} != {n}", row.len());
             for (j, &w) in row.iter().enumerate() {
                 assert!(
-                    w >= 0.0 && !w.is_nan(),
-                    "weight[{i}][{j}] must be non-negative, got {w}"
+                    w >= 0.0 && w.is_finite(),
+                    "weight[{i}][{j}] must be finite and non-negative, got {w}"
                 );
             }
+            flat.extend_from_slice(row);
         }
-        PairWeights { weights }
+        let mut totals = Vec::with_capacity(n);
+        let mut blocks = Vec::with_capacity(n * n.div_ceil(BLOCK));
+        for (s, row) in flat.chunks(n.max(1)).enumerate() {
+            let total = block_starts(row, Some(s), &mut blocks);
+            assert!(total.is_finite(), "row {s}'s weights sum to {total}");
+            totals.push(total);
+        }
+        let dense = Dense {
+            weights: flat,
+            totals,
+            blocks,
+        };
+        PairWeights {
+            n,
+            dense: Some(dense),
+        }
     }
 
     /// Uniform receiver choice over the other `n-1` nodes — the transaction
-    /// model of \[19\], kept as an ablation baseline.
+    /// model of \[19\], kept as an ablation baseline. Stores no matrix.
     pub fn uniform(n: usize) -> Self {
-        let weights = (0..n)
-            .map(|i| (0..n).map(|j| if i == j { 0.0 } else { 1.0 }).collect())
-            .collect();
-        PairWeights { weights }
+        PairWeights { n, dense: None }
     }
 
     /// Number of users covered.
     pub fn len(&self) -> usize {
-        self.weights.len()
+        self.n
     }
 
     /// Returns `true` if the matrix is empty.
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.n == 0
+    }
+
+    /// Entry `(s, r)` of the matrix, diagonal included; both in range.
+    fn entry(&self, s: usize, r: usize) -> f64 {
+        match &self.dense {
+            Some(d) => d.weights[s * self.n + r],
+            None => f64::from(u8::from(s != r)),
+        }
+    }
+
+    /// Off-diagonal total of row `s` (in range).
+    fn total(&self, s: usize) -> f64 {
+        match &self.dense {
+            Some(d) => d.totals[s],
+            None => self.n.saturating_sub(1) as f64,
+        }
     }
 
     /// Weight of the ordered pair `(s, r)`.
     pub fn weight(&self, s: NodeId, r: NodeId) -> f64 {
-        if s == r {
+        if s == r || s.index() >= self.n || r.index() >= self.n {
             return 0.0;
         }
-        self.weights
-            .get(s.index())
-            .and_then(|row| row.get(r.index()))
-            .copied()
-            .unwrap_or(0.0)
+        self.entry(s.index(), r.index())
     }
 
     /// Normalized probability that `s` transacts with `r` given that `s`
     /// sends a transaction.
     pub fn probability(&self, s: NodeId, r: NodeId) -> f64 {
-        let total: f64 = self.weights[s.index()]
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != s.index())
-            .map(|(_, &w)| w)
-            .sum();
+        assert!(s.index() < self.n, "sender {} out of range", s.index());
+        let total = self.total(s.index());
         if total <= 0.0 {
             0.0
         } else {
@@ -106,32 +254,62 @@ impl PairWeights {
     ///
     /// Returns `None` if all of `s`'s weights are zero.
     pub fn sample_receiver<R: Rng + ?Sized>(&self, s: NodeId, rng: &mut R) -> Option<NodeId> {
-        let row = self.weights.get(s.index())?;
+        self.draw_receiver(s.index(), rng, &mut 0)
+    }
+
+    /// [`Self::sample_receiver`] without the reference scan where it can:
+    /// adds one to `fallbacks` when the scan has to decide.
+    fn draw_receiver<R: Rng + ?Sized>(
+        &self,
+        s: usize,
+        rng: &mut R,
+        fallbacks: &mut usize,
+    ) -> Option<NodeId> {
+        if s >= self.n {
+            return None;
+        }
+        let total = self.total(s);
+        if total <= 0.0 {
+            return None;
+        }
+        let pick = rng.gen_range(0.0..total);
+        let Some(d) = &self.dense else {
+            // Unit weights: each `pick -= 1.0` of the scan is exact below
+            // 2^53, so it stops at the `floor(pick)`-th column after `s`'s.
+            let k = pick as usize;
+            return Some(NodeId(k + usize::from(k >= s)));
+        };
+        let row = &d.weights[s * self.n..(s + 1) * self.n];
+        let per_row = self.n.div_ceil(BLOCK);
+        let starts = &d.blocks[s * per_row..(s + 1) * per_row];
+        draw(row, Some(s), starts, pick, margin(self.n, total), fallbacks).map(NodeId)
+    }
+
+    /// The reference receiver draw: re-sums `s`'s row, then scans it.
+    fn scan_receiver<R: Rng + ?Sized>(&self, s: usize, rng: &mut R) -> Option<NodeId> {
+        if s >= self.n {
+            return None;
+        }
+        let row: Vec<f64> = (0..self.n).map(|r| self.entry(s, r)).collect();
         let total: f64 = row
             .iter()
             .enumerate()
-            .filter(|&(j, _)| j != s.index())
+            .filter(|&(j, _)| j != s)
             .map(|(_, &w)| w)
             .sum();
         if total <= 0.0 {
             return None;
         }
-        let mut pick = rng.gen_range(0.0..total);
-        for (j, &w) in row.iter().enumerate() {
-            if j == s.index() || w == 0.0 {
-                continue;
-            }
-            if pick < w {
-                return Some(NodeId(j));
-            }
-            pick -= w;
-        }
-        // Floating-point edge: fall back to the last positive entry.
-        row.iter()
-            .enumerate()
-            .filter(|&(j, &w)| j != s.index() && w > 0.0)
-            .map(|(j, _)| NodeId(j))
-            .next_back()
+        scan(&row, Some(s), rng.gen_range(0.0..total)).map(NodeId)
+    }
+}
+
+/// Matrices are equal when they cover the same users with the same
+/// entries, however they are stored.
+impl PartialEq for PairWeights {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && (0..self.n).all(|s| (0..self.n).all(|r| self.entry(s, r) == other.entry(s, r)))
     }
 }
 
@@ -176,7 +354,7 @@ impl WorkloadBuilder {
     /// # Panics
     ///
     /// Panics if the length differs from the user count or any rate is
-    /// negative/NaN.
+    /// negative, NaN or infinite.
     pub fn sender_rates(mut self, rates: Vec<f64>) -> Self {
         assert_eq!(
             rates.len(),
@@ -186,7 +364,10 @@ impl WorkloadBuilder {
             self.pairs.len()
         );
         for (i, &r) in rates.iter().enumerate() {
-            assert!(r >= 0.0 && !r.is_nan(), "rate[{i}] must be >= 0, got {r}");
+            assert!(
+                r >= 0.0 && r.is_finite(),
+                "rate[{i}] must be finite and >= 0, got {r}"
+            );
         }
         self.sender_rates = rates;
         self
@@ -207,21 +388,73 @@ impl WorkloadBuilder {
     ///
     /// Senders are drawn proportionally to `N_u` and arrival gaps are
     /// `Exp(N)`, which realizes the superposition of the per-user Poisson
-    /// processes.
+    /// processes. A slot whose sender has no receiver weight is skipped.
     ///
     /// # Panics
     ///
-    /// Panics if every sender rate is zero (no transactions can occur).
+    /// Panics if every sender rate is zero, the rates sum to infinity, or
+    /// no sender with a positive rate has a positive receiver weight (no
+    /// transaction could ever occur).
     pub fn generate<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<Tx> {
+        self.generate_counted(count, rng).0
+    }
+
+    /// [`Self::generate`], also returning how many sender and receiver
+    /// draws landed within the guard margin of a boundary and were decided
+    /// by the reference scan.
+    pub fn generate_counted<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> (Vec<Tx>, usize) {
+        let rates = &self.sender_rates;
+        let mut starts = Vec::with_capacity(rates.len().div_ceil(BLOCK));
+        block_starts(rates, None, &mut starts);
+        let total = self.total_rate();
+        let eps = margin(rates.len(), total);
+        let mut fallbacks = 0;
+        let txs = self.stream(count, rng, |rng| {
+            let pick = rng.gen_range(0.0..total);
+            let sender =
+                draw(rates, None, &starts, pick, eps, &mut fallbacks).expect("a positive rate");
+            let receiver = self.pairs.draw_receiver(sender, rng, &mut fallbacks);
+            (NodeId(sender), receiver)
+        });
+        (txs, fallbacks)
+    }
+
+    /// The slow reference for [`Self::generate`]: every draw re-sums its
+    /// total and scans, in `O(n)`. Returns the same stream, bit for bit,
+    /// and leaves `rng` in the same state; kept for differential tests.
+    pub fn generate_reference<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<Tx> {
+        self.stream(count, rng, |rng| {
+            let pick = rng.gen_range(0.0..self.total_rate());
+            let sender = scan(&self.sender_rates, None, pick).expect("a positive rate");
+            (NodeId(sender), self.pairs.scan_receiver(sender, rng))
+        })
+    }
+
+    /// The arrival loop shared by both samplers: `draw` picks a slot's
+    /// sender and, if it has one, receiver.
+    fn stream<R: Rng + ?Sized>(
+        &self,
+        count: usize,
+        rng: &mut R,
+        mut draw: impl FnMut(&mut R) -> (NodeId, Option<NodeId>),
+    ) -> Vec<Tx> {
         let total = self.total_rate();
         assert!(total > 0.0, "all sender rates are zero");
+        assert!(total.is_finite(), "sender rates sum to {total}");
+        assert!(
+            self.sender_rates
+                .iter()
+                .enumerate()
+                .any(|(s, &r)| r > 0.0 && self.pairs.total(s) > 0.0),
+            "no sender with a positive rate has a positive receiver weight"
+        );
         let mut out = Vec::with_capacity(count);
         let mut time = 0.0f64;
         while out.len() < count {
             let u: f64 = rng.gen_range(0.0..1.0f64);
             time += -(1.0 - u).ln() / total;
-            let sender = self.sample_sender(rng);
-            let Some(receiver) = self.pairs.sample_receiver(sender, rng) else {
+            let (sender, receiver) = draw(rng);
+            let Some(receiver) = receiver else {
                 continue; // sender with no counterparties: skip the slot
             };
             out.push(Tx {
@@ -232,21 +465,6 @@ impl WorkloadBuilder {
             });
         }
         out
-    }
-
-    fn sample_sender<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
-        let total = self.total_rate();
-        let mut pick = rng.gen_range(0.0..total);
-        for (i, &r) in self.sender_rates.iter().enumerate() {
-            if r == 0.0 {
-                continue;
-            }
-            if pick < r {
-                return NodeId(i);
-            }
-            pick -= r;
-        }
-        NodeId(self.sender_rates.len() - 1)
     }
 }
 
@@ -317,6 +535,117 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn infinite_weight_panics() {
+        PairWeights::new(vec![vec![0.0, f64::INFINITY], vec![1.0, 0.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sum to inf")]
+    fn overflowing_row_panics() {
+        PairWeights::new(vec![
+            vec![0.0, f64::MAX, f64::MAX],
+            vec![1.0, 0.0, 1.0],
+            vec![1.0, 1.0, 0.0],
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and >= 0")]
+    fn infinite_rate_panics() {
+        WorkloadBuilder::new(PairWeights::uniform(2)).sender_rates(vec![1.0, f64::INFINITY]);
+    }
+
+    #[test]
+    fn scan_walks_positive_entries_in_order() {
+        let rates = [0.0, 2.0, 0.0, 1.0, 3.0];
+        assert_eq!(scan(&rates, None, 0.0), Some(1));
+        assert_eq!(scan(&rates, None, 2.5), Some(3));
+        assert_eq!(scan(&rates, None, 5.999), Some(4));
+        assert_eq!(scan(&rates, Some(3), 2.5), Some(4));
+        assert_eq!(scan(&[0.0, 0.0], None, 0.0), None);
+        assert_eq!(scan(&[0.0, 1.0], Some(1), 0.0), None);
+    }
+
+    #[test]
+    fn scan_falls_back_to_the_last_positive_entry() {
+        // `pick >= total`, as rounding can leave it: the zero-rate last
+        // sender must not be returned.
+        let rates = [1.0, 2.0, 0.0];
+        assert_eq!(scan(&rates, None, 3.0), Some(1));
+        assert_eq!(scan(&rates, None, 7.5), Some(1));
+        // A receiver row never falls back to its own (skipped) column.
+        assert_eq!(scan(&[1.0, 2.0, 4.0], Some(2), 9.0), Some(1));
+    }
+
+    /// `x` moved by `d` units in the last place (`x > 0`).
+    fn nudge(x: f64, d: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + d) as u64)
+    }
+
+    #[test]
+    fn guarded_search_agrees_with_the_scan_near_every_boundary() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (mut checked, mut unguarded_misses) = (0, 0);
+        for n in [3, 16, 17, 40, 100] {
+            for _ in 0..40 {
+                let values: Vec<f64> = (0..n)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        1 => rng.gen_range(0.0..1e-9),
+                        _ => rng.gen_range(0.0..1.0),
+                    })
+                    .collect();
+                let skip = rng.gen_bool(0.5).then(|| rng.gen_range(0..n));
+                let mut starts = Vec::new();
+                let total = block_starts(&values, skip, &mut starts);
+                if total <= 0.0 {
+                    continue;
+                }
+                let eps = margin(n, total);
+                let mut acc = 0.0;
+                for (j, &w) in values.iter().enumerate() {
+                    if Some(j) != skip {
+                        acc += w;
+                    }
+                    // Picks a few ulps from the running sum, just inside and
+                    // just outside the margin, and anywhere.
+                    let ulps = (-6..=6).map(|d| if acc > 0.0 { nudge(acc, d) } else { 0.0 });
+                    let margins = [-1.5, -1.01, 1.01, 1.5].map(|t| acc + t * eps);
+                    let anywhere = rng.gen_range(0.0..total);
+                    for pick in ulps.chain(margins).chain([anywhere]) {
+                        if !(0.0..total).contains(&pick) {
+                            continue;
+                        }
+                        let scanned = scan(&values, skip, pick);
+                        if let Some(found) = search(&values, skip, &starts, pick, eps) {
+                            assert_eq!(Some(found), scanned, "pick {pick} in {values:?}");
+                            checked += 1;
+                        }
+                        if search(&values, skip, &starts, pick, 0.0)
+                            .is_some_and(|found| Some(found) != scanned)
+                        {
+                            unguarded_misses += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 0);
+        // Without the margin the search does disagree with the scan here.
+        assert!(unguarded_misses > 0, "no pick needed the guard");
+    }
+
+    #[test]
+    fn uniform_equals_its_dense_matrix() {
+        let ones = (0..4)
+            .map(|i| (0..4).map(|j| if i == j { 0.0 } else { 1.0 }).collect())
+            .collect();
+        assert_eq!(PairWeights::uniform(4), PairWeights::new(ones));
+        assert_ne!(PairWeights::uniform(4), PairWeights::uniform(3));
+    }
+
+    #[test]
     fn generated_transactions_are_time_ordered_and_valid() {
         let mut rng = StdRng::seed_from_u64(17);
         let txs = WorkloadBuilder::new(PairWeights::uniform(6))
@@ -365,6 +694,30 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         WorkloadBuilder::new(PairWeights::uniform(2))
             .sender_rates(vec![0.0, 0.0])
+            .generate(1, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "no sender with a positive rate")]
+    fn single_user_panics_instead_of_hanging() {
+        let mut rng = StdRng::seed_from_u64(1);
+        WorkloadBuilder::new(PairWeights::uniform(1)).generate(1, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "no sender with a positive rate")]
+    fn all_zero_rows_panic_instead_of_hanging() {
+        let mut rng = StdRng::seed_from_u64(1);
+        WorkloadBuilder::new(PairWeights::new(vec![vec![0.0; 3]; 3])).generate(1, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "no sender with a positive rate")]
+    fn senders_without_receivers_panic_instead_of_hanging() {
+        // Only sender 1 has receivers, and it never sends.
+        let mut rng = StdRng::seed_from_u64(1);
+        WorkloadBuilder::new(PairWeights::new(vec![vec![0.0, 0.0], vec![1.0, 0.0]]))
+            .sender_rates(vec![1.0, 0.0])
             .generate(1, &mut rng);
     }
 }
