@@ -12,15 +12,15 @@
 //! Senders and receivers are drawn by one reference rule: `pick` is
 //! uniform on `[0, total)`, then a scan walks the positive weights in
 //! index order, returning the first with `pick < w` and otherwise
-//! subtracting it (`pick -= w`). [`WorkloadBuilder::generate`] reaches the
-//! same answer in sub-linear time: it binary-searches the running sums
-//! kept at every 16th index, folds on through at most one 16-entry block,
-//! and accepts the hit only when `pick` lies more than `4(n + 1)·ε·total`
-//! from both running sums around it. The scan and the running sums each
-//! drift at most `n·ε/2·total` from exact arithmetic, so outside that
-//! margin they must agree; inside it the scan decides. Every stream is
-//! therefore identical, draw for draw, to
-//! [`WorkloadBuilder::generate_reference`].
+//! subtracting it (`pick -= w`). [`WorkloadBuilder::generate`] follows it
+//! with less work. Row totals are cached, so a stored receiver row costs
+//! one scan, and the uniform row none. Senders are found by a binary
+//! search over the `n + 1` running sums of the rates, accepted only when
+//! `pick` lies more than `4(n + 1)·ε·total` from both running sums around
+//! it. The scan and the running sums each drift at most `n·ε/2·total`
+//! from exact arithmetic, so outside that margin they must agree; inside
+//! it the scan decides. Every stream is therefore identical, draw for
+//! draw, to [`WorkloadBuilder::generate_reference`].
 
 use crate::fees::TxSizeDistribution;
 use lcg_graph::NodeId;
@@ -40,9 +40,6 @@ pub struct Tx {
     pub size: f64,
 }
 
-/// Entries per block of a running-sum index (see [`block_starts`]).
-const BLOCK: usize = 16;
-
 /// Guard margin for a running-sum search over `len` non-negative terms
 /// that sum to `total`.
 ///
@@ -54,66 +51,31 @@ fn margin(len: usize, total: f64) -> f64 {
     4.0 * (len + 1) as f64 * f64::EPSILON * total
 }
 
-/// Appends the running sum of `values` (index `skip` left out, summed in
-/// index order from `+0.0`) before every `BLOCK`-th index to `starts`, and
-/// returns the whole sum.
+/// The running sums of `values` in index order from `+0.0`:
+/// `values.len() + 1` entries, the last being the whole sum.
 ///
 /// `Iterator::sum` may start at `-0.0` instead; the two differ only for a
 /// zero total, which is never drawn from.
-fn block_starts(values: &[f64], skip: Option<usize>, starts: &mut Vec<f64>) -> f64 {
+fn prefix_sums(values: &[f64]) -> Vec<f64> {
     let mut acc = 0.0;
-    for (j, &w) in values.iter().enumerate() {
-        if j % BLOCK == 0 {
-            starts.push(acc);
-        }
-        if Some(j) != skip {
-            acc += w;
-        }
+    let mut sums = Vec::with_capacity(values.len() + 1);
+    sums.push(acc);
+    for &w in values {
+        acc += w;
+        sums.push(acc);
     }
-    acc
+    sums
 }
 
-/// The guarded search: finds the block of `starts` holding `pick`, folds
-/// on through at most one block to the entry `j` with running sums
-/// `lo <= pick < hi`, and returns `j` only if `pick` lies more than `eps`
-/// from both, where [`scan`] must agree. `None` leaves the draw to the scan.
-fn search(
-    values: &[f64],
-    skip: Option<usize>,
-    starts: &[f64],
-    pick: f64,
-    eps: f64,
-) -> Option<usize> {
-    // A non-empty `values` has `starts[0] == 0.0 <= pick`.
-    let b = starts.partition_point(|&p| p <= pick).checked_sub(1)?;
-    let mut lo = starts[b];
-    for (j, &w) in values.iter().enumerate().skip(b * BLOCK).take(BLOCK) {
-        if Some(j) == skip {
-            continue;
-        }
-        let hi = lo + w;
-        if pick < hi {
-            return (pick - lo > eps && hi - pick > eps).then_some(j);
-        }
-        lo = hi;
-    }
-    None
-}
-
-/// [`search`], or [`scan`] when the guard fails; counts the scan's draws
-/// in `fallbacks`.
-fn draw(
-    values: &[f64],
-    skip: Option<usize>,
-    starts: &[f64],
-    pick: f64,
-    eps: f64,
-    fallbacks: &mut usize,
-) -> Option<usize> {
-    search(values, skip, starts, pick, eps).or_else(|| {
-        *fallbacks += 1;
-        scan(values, skip, pick)
-    })
+/// The guarded search: finds the entry `j` with running sums
+/// `sums[j] <= pick < sums[j + 1]` and returns it only if `pick` lies more
+/// than `eps` from both, where [`scan`] must agree. `None` leaves the draw
+/// to the scan.
+fn search(sums: &[f64], pick: f64, eps: f64) -> Option<usize> {
+    // `sums[0] == 0.0 <= pick`, so `j` exists unless `sums` is empty.
+    let j = sums.partition_point(|&p| p <= pick).checked_sub(1)?;
+    let (lo, hi) = (sums[j], *sums.get(j + 1)?);
+    (pick - lo > eps && hi - pick > eps).then_some(j)
 }
 
 /// The reference draw: walks `values` in order, skipping index `skip` and
@@ -135,6 +97,15 @@ fn scan(values: &[f64], skip: Option<usize>, mut pick: f64) -> Option<usize> {
         .find(|&j| Some(j) != skip && values[j] > 0.0)
 }
 
+/// The off-diagonal total of row `s`, summed in column order.
+fn row_total(row: &[f64], s: usize) -> f64 {
+    row.iter()
+        .enumerate()
+        .filter(|&(j, _)| j != s)
+        .map(|(_, &w)| w)
+        .sum()
+}
+
 /// A per-sender receiver distribution: `weight(s, r)` is proportional to
 /// the probability that `s` transacts with `r` (diagonal entries ignored).
 ///
@@ -148,16 +119,12 @@ pub struct PairWeights {
     dense: Option<Dense>,
 }
 
-/// A stored weight matrix with the sums its sampler searches.
+/// A stored weight matrix with its row totals.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Dense {
-    /// Row-major `n × n` matrix: `weights[s * n + r]`.
-    weights: Vec<f64>,
-    /// Off-diagonal total of each row, summed in column order.
+    weights: Vec<Vec<f64>>,
+    /// [`row_total`] of each row.
     totals: Vec<f64>,
-    /// Receiver index: each row's [`block_starts`], `n.div_ceil(BLOCK)`
-    /// per row.
-    blocks: Vec<f64>,
 }
 
 impl PairWeights {
@@ -169,7 +136,7 @@ impl PairWeights {
     /// infinite, or a row's weights sum to infinity.
     pub fn new(weights: Vec<Vec<f64>>) -> Self {
         let n = weights.len();
-        let mut flat = Vec::with_capacity(n * n);
+        let mut totals = Vec::with_capacity(n);
         for (i, row) in weights.iter().enumerate() {
             assert_eq!(row.len(), n, "row {i} has length {} != {n}", row.len());
             for (j, &w) in row.iter().enumerate() {
@@ -178,23 +145,13 @@ impl PairWeights {
                     "weight[{i}][{j}] must be finite and non-negative, got {w}"
                 );
             }
-            flat.extend_from_slice(row);
-        }
-        let mut totals = Vec::with_capacity(n);
-        let mut blocks = Vec::with_capacity(n * n.div_ceil(BLOCK));
-        for (s, row) in flat.chunks(n.max(1)).enumerate() {
-            let total = block_starts(row, Some(s), &mut blocks);
-            assert!(total.is_finite(), "row {s}'s weights sum to {total}");
+            let total = row_total(row, i);
+            assert!(total.is_finite(), "row {i}'s weights sum to {total}");
             totals.push(total);
         }
-        let dense = Dense {
-            weights: flat,
-            totals,
-            blocks,
-        };
         PairWeights {
             n,
-            dense: Some(dense),
+            dense: Some(Dense { weights, totals }),
         }
     }
 
@@ -217,7 +174,7 @@ impl PairWeights {
     /// Entry `(s, r)` of the matrix, diagonal included; both in range.
     fn entry(&self, s: usize, r: usize) -> f64 {
         match &self.dense {
-            Some(d) => d.weights[s * self.n + r],
+            Some(d) => d.weights[s][r],
             None => f64::from(u8::from(s != r)),
         }
     }
@@ -254,17 +211,7 @@ impl PairWeights {
     ///
     /// Returns `None` if all of `s`'s weights are zero.
     pub fn sample_receiver<R: Rng + ?Sized>(&self, s: NodeId, rng: &mut R) -> Option<NodeId> {
-        self.draw_receiver(s.index(), rng, &mut 0)
-    }
-
-    /// [`Self::sample_receiver`] without the reference scan where it can:
-    /// adds one to `fallbacks` when the scan has to decide.
-    fn draw_receiver<R: Rng + ?Sized>(
-        &self,
-        s: usize,
-        rng: &mut R,
-        fallbacks: &mut usize,
-    ) -> Option<NodeId> {
+        let s = s.index();
         if s >= self.n {
             return None;
         }
@@ -279,10 +226,7 @@ impl PairWeights {
             let k = pick as usize;
             return Some(NodeId(k + usize::from(k >= s)));
         };
-        let row = &d.weights[s * self.n..(s + 1) * self.n];
-        let per_row = self.n.div_ceil(BLOCK);
-        let starts = &d.blocks[s * per_row..(s + 1) * per_row];
-        draw(row, Some(s), starts, pick, margin(self.n, total), fallbacks).map(NodeId)
+        scan(&d.weights[s], Some(s), pick).map(NodeId)
     }
 
     /// The reference receiver draw: re-sums `s`'s row, then scans it.
@@ -291,12 +235,7 @@ impl PairWeights {
             return None;
         }
         let row: Vec<f64> = (0..self.n).map(|r| self.entry(s, r)).collect();
-        let total: f64 = row
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != s)
-            .map(|(_, &w)| w)
-            .sum();
+        let total = row_total(&row, s);
         if total <= 0.0 {
             return None;
         }
@@ -399,22 +338,27 @@ impl WorkloadBuilder {
         self.generate_counted(count, rng).0
     }
 
-    /// [`Self::generate`], also returning how many sender and receiver
-    /// draws landed within the guard margin of a boundary and were decided
-    /// by the reference scan.
+    /// [`Self::generate`], also returning how many sender draws landed
+    /// within the guard margin of a boundary and were decided by the
+    /// reference scan.
     pub fn generate_counted<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> (Vec<Tx>, usize) {
         let rates = &self.sender_rates;
-        let mut starts = Vec::with_capacity(rates.len().div_ceil(BLOCK));
-        block_starts(rates, None, &mut starts);
+        let sums = prefix_sums(rates);
         let total = self.total_rate();
         let eps = margin(rates.len(), total);
         let mut fallbacks = 0;
         let txs = self.stream(count, rng, |rng| {
             let pick = rng.gen_range(0.0..total);
-            let sender =
-                draw(rates, None, &starts, pick, eps, &mut fallbacks).expect("a positive rate");
-            let receiver = self.pairs.draw_receiver(sender, rng, &mut fallbacks);
-            (NodeId(sender), receiver)
+            let sender = search(&sums, pick, eps)
+                .or_else(|| {
+                    fallbacks += 1;
+                    scan(rates, None, pick)
+                })
+                .expect("a positive rate");
+            (
+                NodeId(sender),
+                self.pairs.sample_receiver(NodeId(sender), rng),
+            )
         });
         (txs, fallbacks)
     }
@@ -596,18 +540,13 @@ mod tests {
                         _ => rng.gen_range(0.0..1.0),
                     })
                     .collect();
-                let skip = rng.gen_bool(0.5).then(|| rng.gen_range(0..n));
-                let mut starts = Vec::new();
-                let total = block_starts(&values, skip, &mut starts);
+                let sums = prefix_sums(&values);
+                let total = sums[n];
                 if total <= 0.0 {
                     continue;
                 }
                 let eps = margin(n, total);
-                let mut acc = 0.0;
-                for (j, &w) in values.iter().enumerate() {
-                    if Some(j) != skip {
-                        acc += w;
-                    }
+                for &acc in &sums[1..] {
                     // Picks a few ulps from the running sum, just inside and
                     // just outside the margin, and anywhere.
                     let ulps = (-6..=6).map(|d| if acc > 0.0 { nudge(acc, d) } else { 0.0 });
@@ -617,14 +556,12 @@ mod tests {
                         if !(0.0..total).contains(&pick) {
                             continue;
                         }
-                        let scanned = scan(&values, skip, pick);
-                        if let Some(found) = search(&values, skip, &starts, pick, eps) {
+                        let scanned = scan(&values, None, pick);
+                        if let Some(found) = search(&sums, pick, eps) {
                             assert_eq!(Some(found), scanned, "pick {pick} in {values:?}");
                             checked += 1;
                         }
-                        if search(&values, skip, &starts, pick, 0.0)
-                            .is_some_and(|found| Some(found) != scanned)
-                        {
+                        if search(&sums, pick, 0.0).is_some_and(|found| Some(found) != scanned) {
                             unguarded_misses += 1;
                         }
                     }

@@ -1,8 +1,9 @@
 //! Differential suite for the payment-stream sampler.
 //!
-//! `WorkloadBuilder::generate` draws senders and receivers by a guarded
-//! prefix-sum search; `WorkloadBuilder::generate_reference` re-sums every
-//! total and walks the subtracting scan. Every check below runs both on
+//! `WorkloadBuilder::generate` draws senders by a guarded prefix-sum
+//! search and receivers by one scan against a cached row total (or a
+//! closed form for uniform rows); `WorkloadBuilder::generate_reference`
+//! re-sums every total and walks the subtracting scan. Every check below runs both on
 //! identically seeded RNGs and asserts that every `Tx` is equal bit for
 //! bit (time, sender, receiver, size) and that the next `u64` each RNG
 //! yields is equal, which proves the draws were consumed draw for draw.
@@ -19,7 +20,8 @@ use rand::{Rng, RngCore, SeedableRng};
 const COUNT: usize = 1_500;
 
 /// Generates `COUNT` transactions both ways from `seed`, asserts they are
-/// identical and returns how many draws the guard handed to the scan.
+/// identical and returns how many sender draws the guard handed to the
+/// scan.
 fn assert_same_stream(builder: &WorkloadBuilder, seed: u64, label: &str) -> usize {
     assert_same_stream_with(builder, || StdRng::seed_from_u64(seed), label)
 }
@@ -204,11 +206,12 @@ impl RngCore for CoarseRng {
 #[test]
 fn boundary_picks_and_sub_margin_entries_fall_back_to_the_scan() {
     const TINY: f64 = 1e-300;
-    // 16 users: even columns weigh 1, odd columns lie far below the guard
-    // margin. A running sum stays exactly integer across a tiny entry, so
-    // a pick on that integer selects the tiny entry in the scan (it is the
-    // first with `pick < w` after the subtraction reaches 0.0) while the
-    // prefix search lands on the next unit entry.
+    // 16 users. Rates sum to 32, with a sub-margin rate in the middle and
+    // zero last. A running sum stays exactly integer across a tiny entry,
+    // so a pick on that integer selects the tiny entry in the scan (it is
+    // the first with `pick < w` after the subtraction reaches 0.0) while
+    // the prefix search lands on the next entry. Receiver rows mix unit
+    // and tiny columns the same way.
     let n = 16;
     let weights = (0..n)
         .map(|_| {
@@ -217,7 +220,6 @@ fn boundary_picks_and_sub_margin_entries_fall_back_to_the_scan() {
                 .collect()
         })
         .collect();
-    // Rates sum to 32, with a sub-margin rate in the middle and zero last.
     let mut rates = vec![2.0; n];
     rates[5] = TINY;
     rates[n - 1] = 0.0;
@@ -232,6 +234,10 @@ fn boundary_picks_and_sub_margin_entries_fall_back_to_the_scan() {
 
     let mut rng = CoarseRng(StdRng::seed_from_u64(21));
     let txs = builder.generate(COUNT, &mut rng);
+    assert!(
+        txs.iter().any(|t| t.sender.index() == 5),
+        "no pick selected the sub-margin sender"
+    );
     assert!(
         txs.iter().any(|t| t.receiver.index() % 2 == 1),
         "no pick selected a sub-margin receiver"
